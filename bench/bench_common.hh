@@ -168,13 +168,8 @@ snapshot(Runtime &rt, Cycles cycles, std::uint64_t checksum)
 /** KV-harness run over one index type. */
 template <typename Index>
 RunStats
-runKvIndex(Version version, const MachineParams &params,
-           const YcsbWorkload &workload)
+runKvIndex(const Runtime::Config &cfg, const YcsbWorkload &workload)
 {
-    Runtime::Config cfg;
-    cfg.version = version;
-    cfg.machine = params;
-    cfg.seed = 0xB0;
     Runtime rt(cfg);
     RuntimeScope scope(rt);
     const PoolId pool = rt.createPool("bench", 512 << 20);
@@ -197,8 +192,7 @@ runKvIndex(Version version, const MachineParams &params,
  * accumulating the values (the timed phase).
  */
 inline RunStats
-runLinkedList(Version version, const MachineParams &params,
-              std::uint64_t node_count)
+runLinkedList(const Runtime::Config &cfg, std::uint64_t node_count)
 {
     struct Value16
     {
@@ -206,10 +200,6 @@ runLinkedList(Version version, const MachineParams &params,
         std::uint64_t hi = 0;
     };
 
-    Runtime::Config cfg;
-    cfg.version = version;
-    cfg.machine = params;
-    cfg.seed = 0xB0;
     Runtime rt(cfg);
     RuntimeScope scope(rt);
     const PoolId pool = rt.createPool("bench", 512 << 20);
@@ -227,32 +217,37 @@ runLinkedList(Version version, const MachineParams &params,
     return detail::snapshot(rt, rt.machine().now() - start, sum);
 }
 
-/** Run one (workload, version) pair with @p params. */
+/**
+ * Run one (workload, version) pair with the runtime knobs the paper's
+ * sweeps and ablations move off the Table IV defaults: the machine
+ * @p params and the MMU-front model @p front.
+ */
 inline RunStats
-run(Workload w, Version version, const MachineParams &params = {})
+run(Workload w, Version version, const MachineParams &params = {},
+    MmuFrontModel front = MmuFrontModel::None)
 {
+    Runtime::Config cfg;
+    cfg.version = version;
+    cfg.machine = params;
+    cfg.seed = 0xB0;
+    cfg.mmuFront = front;
     if (w == Workload::LL)
-        return runLinkedList(version, params, 10'000 / benchScale());
+        return runLinkedList(cfg, 10'000 / benchScale());
 
     const YcsbWorkload workload(paperSpec());
     using K = std::uint64_t;
     using V = std::uint64_t;
     switch (w) {
       case Workload::Hash:
-        return detail::runKvIndex<HashMap<K, V>>(version, params,
-                                                 workload);
+        return detail::runKvIndex<HashMap<K, V>>(cfg, workload);
       case Workload::RB:
-        return detail::runKvIndex<RbTree<K, V>>(version, params,
-                                                workload);
+        return detail::runKvIndex<RbTree<K, V>>(cfg, workload);
       case Workload::Splay:
-        return detail::runKvIndex<SplayTree<K, V>>(version, params,
-                                                   workload);
+        return detail::runKvIndex<SplayTree<K, V>>(cfg, workload);
       case Workload::AVL:
-        return detail::runKvIndex<AvlTree<K, V>>(version, params,
-                                                 workload);
+        return detail::runKvIndex<AvlTree<K, V>>(cfg, workload);
       case Workload::SG:
-        return detail::runKvIndex<ScapegoatTree<K, V>>(version, params,
-                                                       workload);
+        return detail::runKvIndex<ScapegoatTree<K, V>>(cfg, workload);
       default:
         upr_panic("bad workload");
     }

@@ -1,46 +1,42 @@
 /**
  * @file
- * Parallel benchmark harness: runs every (workload x version) cell of
- * the Figure 11 grid concurrently — one forked child process per cell
- * — then a set of pointer-op microkernels, and writes machine-readable
- * BENCH_fig11.json / BENCH_micro.json.
+ * The one bench driver: a registry of named suites, each running its
+ * cells, writing its BENCH_*.json (if it has a golden) and printing its
+ * paper tables.
  *
- * Cells run in child *processes*, not threads, for determinism:
- * branch-predictor site indices are salted at each pointer-op call
- * site's first execution (detail::nextSiteSalt), so concurrent cells
- * sharing one process would be handed salts in thread-schedule order
- * and "identical" runs would drift by a few cycles. fork() gives every
- * cell the pristine pre-run salt state: each cell's counters equal a
- * standalone run of exactly that cell, under any parallelism, every
- * time.
+ *   fig11       the Fig 11 grid (6 workloads x 4 versions), one forked
+ *               child per cell -> BENCH_fig11.json, printed as Figs 11,
+ *               13, 15 and Tables III and V
+ *   micro       pointer-op microkernels -> BENCH_micro.json
+ *   paper       every other table and figure of the evaluation plus
+ *               the ablations (bench_paper.cpp); no golden
+ *   concurrent  the sharded KV store at T threads -> BENCH_concurrent
+ *   static      check plans of the Fig 9 program -> BENCH_static.json
+ *   fault       hostile-media fault sweep -> BENCH_fault.json
+ *   txn         undo/redo/group-commit engines -> BENCH_txn.json
+ *   exec        FastExecutor Model vs Native tiers -> BENCH_exec.json
  *
  * The JSON records both the harness wall time and the sum of per-cell
  * wall times so the speedup is auditable, and scripts/bench_diff.py
- * compares two result files (wall regression = warning, any
- * simulated-counter drift = hard error).
+ * compares two result files (wall regression = warning, any other
+ * cell-key drift = hard error).
  *
- * Usage: bench_harness [--quick] [--jobs N] [--out DIR]
- *                      [--fig11-only | --micro-only | --static-only |
- *                       --fault-only | --txn-only | --exec-only |
- *                       --concurrent-only]
+ * Usage: bench_harness [--quick] [--jobs N] [--out DIR] [SUITE...]
  *   --quick   scale workloads down 100x (smoke test; implies scale
  *             via UPR_BENCH_SCALE only if that variable is unset)
  *   --jobs N  worker processes (default: hardware concurrency)
  *   --out DIR output directory for the JSON files (default: .)
+ *   SUITE...  suites to run, in any order (default: fig11 micro
+ *             static); they always run in registry order
  */
 
-#include <dirent.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <thread>
 
 #include <map>
 
-#include "bench_common.hh"
+#include "bench_harness.hh"
 #include "bench_ir.hh"
 #include "bench_json.hh"
 #include "compiler/analysis/abstract_interp.hh"
@@ -48,6 +44,7 @@
 #include "compiler/demo_programs.hh"
 #include "compiler/interpreter.hh"
 #include "compiler/ir_parser.hh"
+#include "containers/bst_common.hh"
 #include "core/ptr.hh"
 #include "faultinject/fault_sweep.hh"
 #include "kvstore/concurrent_kv_store.hh"
@@ -65,188 +62,11 @@ using namespace upr::bench;
 namespace
 {
 
-using SteadyClock = std::chrono::steady_clock;
-
-double
-millisSince(SteadyClock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(
-               SteadyClock::now() - start)
-        .count();
-}
-
-const Version kAllVersions[] = {Version::Volatile, Version::Sw,
-                                Version::Hw, Version::Explicit};
-
 // ----------------------------------------------------------------------
-// Forked cell runner
+// Fig 11 grid, and the tables of the paper that read it (Sec VII):
+// Figs 11, 13 and 15 and Tables III and V all come from the same 24
+// cells that go into BENCH_fig11.json.
 // ----------------------------------------------------------------------
-
-/** Fixed-size result record shipped child -> parent over a pipe. */
-template <typename Stats>
-struct ForkOutcome
-{
-    Stats stats = {};
-    double wallMs = 0;
-    std::uint8_t failed = 0;
-    char error[160] = {};
-};
-
-using CellOutcome = ForkOutcome<RunStats>;
-
-template <typename Stats>
-void
-setOutcomeError(ForkOutcome<Stats> &oc, const char *what)
-{
-    oc.failed = 1;
-    std::snprintf(oc.error, sizeof(oc.error), "%s", what);
-}
-
-/** Live threads in this process (fork safety: must be 1 to fork). */
-unsigned
-threadCount()
-{
-    DIR *dir = opendir("/proc/self/task");
-    if (dir == nullptr)
-        return 1; // no procfs: cannot tell, assume quiesced
-    unsigned n = 0;
-    while (const dirent *e = readdir(dir)) {
-        if (e->d_name[0] != '.')
-            ++n;
-    }
-    closedir(dir);
-    return n;
-}
-
-/**
- * Run @p n cells, each in its own forked child, at most @p jobs
- * children live at once. @p fn(i) computes cell i's Stats (in the
- * child). A child that dies without reporting yields a failed cell,
- * not a dead harness.
- *
- * Fork safety: fork() in a multi-threaded process duplicates only the
- * calling thread — any lock another thread holds (malloc's arena, a
- * Runtime's shard) stays locked forever in the child. Sections that
- * spawn threads (the concurrent one) must join them before the next
- * forked section runs; this runner enforces the contract by refusing
- * to fork while the process has more than one live thread.
- */
-template <typename Stats, typename RunFn>
-std::vector<ForkOutcome<Stats>>
-runForked(std::size_t n, unsigned jobs, RunFn fn)
-{
-    static_assert(std::is_trivially_copyable_v<Stats>,
-                  "outcome record crosses a pipe");
-    std::vector<ForkOutcome<Stats>> out(n);
-    std::vector<pid_t> pids(n, -1);
-    std::vector<int> fds(n, -1);
-    std::size_t launched = 0;
-    std::size_t live = 0;
-
-    const auto launch = [&](std::size_t i) {
-        if (threadCount() > 1) {
-            setOutcomeError(out[i],
-                            "refusing to fork: the harness process is "
-                            "multi-threaded (a previous section did "
-                            "not quiesce its workers)");
-            return;
-        }
-        int pipefd[2];
-        if (pipe(pipefd) != 0) {
-            setOutcomeError(out[i], "pipe() failed");
-            return;
-        }
-        std::fflush(nullptr); // don't duplicate buffered output
-        const pid_t pid = fork();
-        if (pid < 0) {
-            close(pipefd[0]);
-            close(pipefd[1]);
-            setOutcomeError(out[i], "fork() failed");
-            return;
-        }
-        if (pid == 0) {
-            close(pipefd[0]);
-            ForkOutcome<Stats> oc;
-            const auto t0 = SteadyClock::now();
-            try {
-                oc.stats = fn(i);
-            } catch (const std::exception &e) {
-                setOutcomeError(oc, e.what());
-            }
-            oc.wallMs = millisSince(t0);
-            // One record, well under PIPE_BUF: a single atomic write.
-            const ssize_t w = write(pipefd[1], &oc, sizeof(oc));
-            _exit(w == static_cast<ssize_t>(sizeof(oc)) ? 0 : 1);
-        }
-        close(pipefd[1]);
-        pids[i] = pid;
-        fds[i] = pipefd[0];
-        ++live;
-    };
-
-    const auto reap = [&] {
-        int status = 0;
-        const pid_t pid = waitpid(-1, &status, 0);
-        if (pid < 0)
-            return;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (pids[i] != pid)
-                continue;
-            const ssize_t r = read(fds[i], &out[i], sizeof(out[i]));
-            if (r != static_cast<ssize_t>(sizeof(out[i])) ||
-                (WIFEXITED(status) && WEXITSTATUS(status) != 0) ||
-                WIFSIGNALED(status)) {
-                if (!out[i].failed)
-                    setOutcomeError(out[i],
-                                    "cell process died without "
-                                    "reporting");
-            }
-            close(fds[i]);
-            fds[i] = -1;
-            pids[i] = -1;
-            --live;
-            return;
-        }
-    };
-
-    while (launched < n || live > 0) {
-        if (launched < n && live < jobs)
-            launch(launched++);
-        else
-            reap();
-    }
-    return out;
-}
-
-// ----------------------------------------------------------------------
-// Fig 11 grid
-// ----------------------------------------------------------------------
-
-struct Cell
-{
-    Workload workload;
-    Version version;
-    RunStats stats = {};
-    double wallMs = 0;
-    bool failed = false;
-    std::string error = {};
-};
-
-/** Run all cells in forked children, @p jobs at a time. */
-void
-runGrid(std::vector<Cell> &cells, unsigned jobs)
-{
-    const std::vector<CellOutcome> outcomes =
-        runForked<RunStats>(cells.size(), jobs, [&](std::size_t i) {
-            return run(cells[i].workload, cells[i].version);
-        });
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        cells[i].stats = outcomes[i].stats;
-        cells[i].wallMs = outcomes[i].wallMs;
-        cells[i].failed = outcomes[i].failed != 0;
-        cells[i].error = outcomes[i].error;
-    }
-}
 
 void
 emitHistSummary(JsonWriter &json, const char *name,
@@ -295,78 +115,293 @@ emitHeader(JsonWriter &json, unsigned jobs)
     json.kv("jobs", std::uint64_t{jobs});
 }
 
+/**
+ * Write @p json as @p name in the output directory.
+ * @return the file's path, or "" on an I/O error (reported).
+ */
+std::string
+writeJson(const JsonWriter &json, const SuiteContext &ctx,
+          const char *name)
+{
+    const std::string path = ctx.outDir + "/" + name;
+    if (json.writeFile(path))
+        return path;
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return "";
+}
+
+/** Figure 11: execution time normalized to Volatile. */
+void
+printFig11(const SimCache &sims)
+{
+    std::printf("\nFigure 11: execution time normalized to Volatile "
+                "(lower is better)\n");
+    std::printf("%-6s %10s %10s %10s %10s\n", "bench", "Volatile",
+                "HW", "SW", "Explicit");
+    std::vector<double> hw_norm, sw_norm, ex_norm, hw_vs_ex;
+    for (Workload w : kAllWorkloads) {
+        const double base =
+            static_cast<double>(sims.stats({w, Version::Volatile}).cycles);
+        const auto norm = [&](Version v) {
+            return static_cast<double>(sims.stats({w, v}).cycles) / base;
+        };
+        const double h = norm(Version::Hw), s = norm(Version::Sw),
+                     e = norm(Version::Explicit);
+        hw_norm.push_back(h);
+        sw_norm.push_back(s);
+        ex_norm.push_back(e);
+        hw_vs_ex.push_back(e / h);
+        std::printf("%-6s %10.3f %10.3f %10.3f %10.3f\n",
+                    workloadName(w), 1.0, h, s, e);
+    }
+    std::printf("%-6s %10.3f %10.3f %10.3f %10.3f\n", "gmean", 1.0,
+                geomean(hw_norm), geomean(sw_norm), geomean(ex_norm));
+    std::printf("\npaper expectations: HW ~1.0-1.12x, SW avg ~2.75x, "
+                "Explicit/HW ~1.33x (ours: %.2fx)\n",
+                geomean(hw_vs_ex));
+}
+
+/**
+ * Figure 13: branch mispredictions normalized to Volatile. SW's checks
+ * are conditional branches (paper: 6.7x-2944x HW's mispredictions);
+ * HW adds none, so it sits at ~1.0.
+ */
+void
+printFig13(const SimCache &sims)
+{
+    std::printf("\nFigure 13: branch mispredictions normalized to "
+                "Volatile (lower is better)\n");
+    std::printf("%-6s %12s %12s %12s %12s %10s\n", "bench", "Volatile",
+                "HW", "SW", "Explicit", "SW/HW");
+    for (Workload w : kAllWorkloads) {
+        const double base = static_cast<double>(std::max<std::uint64_t>(
+            sims.stats({w, Version::Volatile}).branchMisses, 1));
+        const auto norm = [&](Version v) {
+            return static_cast<double>(sims.stats({w, v}).branchMisses) /
+                   base;
+        };
+        const double h = norm(Version::Hw), s = norm(Version::Sw);
+        std::printf("%-6s %12.2f %12.2f %12.2f %12.2f %10.1f\n",
+                    workloadName(w), 1.0, h, s, norm(Version::Explicit),
+                    s / std::max(h, 1e-9));
+    }
+    std::printf("\n(absolute branch counts, for reference)\n");
+    std::printf("%-6s %14s %14s %14s\n", "bench", "Volatile.br",
+                "SW.br", "SW.miss");
+    for (Workload w : kAllWorkloads) {
+        const RunStats &sw = sims.stats({w, Version::Sw});
+        std::printf("%-6s %14" PRIu64 " %14" PRIu64 " %14" PRIu64 "\n",
+                    workloadName(w),
+                    sims.stats({w, Version::Volatile}).branches,
+                    sw.branches, sw.branchMisses);
+    }
+    std::printf("\npaper expectation: SW mispredictions 6.7-2944x "
+                "those of HW; HW ~= Volatile\n");
+}
+
+/**
+ * Figure 15: of all HW memory accesses, the share that are storeP,
+ * touch the VALB/VAW, or touch the POLB/POW (paper: 0.38%, 0.22%,
+ * 12.6%).
+ */
+void
+printFig15(const SimCache &sims)
+{
+    std::printf("\nFigure 15: share of memory accesses touching each "
+                "UPR structure (HW version)\n");
+    std::printf("%-6s %14s %12s %12s %12s\n", "bench", "mem accesses",
+                "storeP %", "VALB %", "POLB %");
+    double sp_sum = 0, va_sum = 0, po_sum = 0;
+    for (Workload w : kAllWorkloads) {
+        const RunStats &hw = sims.stats({w, Version::Hw});
+        const double total = static_cast<double>(hw.memAccesses);
+        const double sp = 100.0 * hw.storePs / total;
+        const double va = 100.0 * hw.valbAccesses / total;
+        const double po = 100.0 * hw.polbAccesses / total;
+        sp_sum += sp;
+        va_sum += va;
+        po_sum += po;
+        std::printf("%-6s %14" PRIu64 " %11.3f%% %11.3f%% %11.3f%%\n",
+                    workloadName(w), hw.memAccesses, sp, va, po);
+    }
+    const double n = static_cast<double>(std::size(kAllWorkloads));
+    std::printf("%-6s %14s %11.3f%% %11.3f%% %11.3f%%\n", "mean", "",
+                sp_sum / n, va_sum / n, po_sum / n);
+    std::printf("\npaper: 0.38%% storeP, 0.22%% VALB/VAW, 12.6%% "
+                "POLB/POW\n");
+}
+
+/**
+ * Lines of the repo source file @p rel, read from the source tree the
+ * harness was built from. @return false if the file cannot be read.
+ */
+bool
+sourceLines(const std::string &rel, std::uint64_t &n)
+{
+    std::ifstream is(std::string(UPR_SOURCE_DIR) + "/" + rel);
+    if (!is) {
+        std::fprintf(stderr, "FAIL table3: cannot read %s/%s\n",
+                     UPR_SOURCE_DIR, rel.c_str());
+        return false;
+    }
+    n = 0;
+    std::string line;
+    while (std::getline(is, line))
+        ++n;
+    return true;
+}
+
+/** Table III: the six data structures. @return false on a missing source. */
+bool
+printTableIII(const SimCache &sims)
+{
+    using Node = TreeNode<std::uint64_t, std::uint64_t>;
+    struct Row
+    {
+        const char *desc;
+        const char *file;
+        std::uint64_t nodeBytes;
+    };
+    // Indexed like kAllWorkloads.
+    const Row rows[] = {
+        {"doubly linked list (2 ptrs + 16 B value)",
+         "src/containers/linked_list.hh", 32},
+        {"separate-chaining hash map", "src/containers/hash_map.hh",
+         24},
+        {"red-black tree", "src/containers/rb_tree.hh", sizeof(Node)},
+        {"splay tree", "src/containers/splay_tree.hh", sizeof(Node)},
+        {"AVL tree", "src/containers/avl_tree.hh", sizeof(Node)},
+        {"scapegoat tree (alpha=0.7)",
+         "src/containers/scapegoat_tree.hh", sizeof(Node)},
+    };
+    static_assert(std::size(rows) == std::size(kAllWorkloads));
+
+    std::printf("\nTable III: the six benchmark data structures\n");
+    std::printf("%-6s %-44s %8s %10s\n", "name", "description", "LoC",
+                "node (B)");
+    bool ok = true;
+    std::uint64_t total = 0;
+    for (const char *shared : {"src/containers/bst_common.hh",
+                               "src/containers/memory_env.hh"}) {
+        std::uint64_t loc = 0;
+        ok = sourceLines(shared, loc) && ok;
+        total += loc;
+    }
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
+        std::uint64_t loc = 0;
+        ok = sourceLines(rows[i].file, loc) && ok;
+        total += loc;
+        std::printf("%-6s %-44s %8" PRIu64 " %10" PRIu64 "\n",
+                    workloadName(kAllWorkloads[i]), rows[i].desc, loc,
+                    rows[i].nodeBytes);
+    }
+    std::printf("%-6s %-44s %8" PRIu64 "\n", "total",
+                "(incl. shared BST base + MemEnv)", total);
+
+    // The LL harness builds its nodes; the KV harness loads its
+    // records, and the run phase's SETs may insert more.
+    const std::uint64_t nodes = 10'000 / benchScale();
+    const std::string records =
+        std::to_string(paperSpec().recordCount) + "+";
+    std::printf("\npopulation after the load phase (%" PRIu64
+                " records), and the HW run phase's memory accesses:\n",
+                paperSpec().recordCount);
+    std::printf("%-6s %12s %18s\n", "bench", "entries",
+                "run mem accesses");
+    for (Workload w : kAllWorkloads) {
+        std::printf("%-6s %12s %18" PRIu64 "\n", workloadName(w),
+                    w == Workload::LL ? std::to_string(nodes).c_str()
+                                      : records.c_str(),
+                    sims.stats({w, Version::Hw}).memAccesses);
+    }
+    std::printf("\npaper: Boost originals total 22,206 LoC; ours are "
+                "purpose-built equivalents.\n");
+    return ok;
+}
+
+/** Table V: dynamic checks and conversions per benchmark. */
+void
+printTableV(const SimCache &sims)
+{
+    std::printf("\nTable V: dynamic checks and conversions per "
+                "benchmark (SW version)\n");
+    std::printf("%-6s %16s %16s %16s\n", "bench", "dynamic checks",
+                "abs. to rel.", "rel. to abs.");
+    for (Workload w : kAllWorkloads) {
+        const RunStats &sw = sims.stats({w, Version::Sw});
+        std::printf("%-6s %16" PRIu64 " %16" PRIu64 " %16" PRIu64 "\n",
+                    workloadName(w), sw.dynamicChecks, sw.absToRel,
+                    sw.relToAbs);
+    }
+    std::printf("\n(HW version conversion traffic, showing the "
+                "reuse effect of Fig 12)\n");
+    std::printf("%-6s %16s %16s\n", "bench", "abs. to rel.",
+                "rel. to abs.");
+    for (Workload w : kAllWorkloads) {
+        const RunStats &hw = sims.stats({w, Version::Hw});
+        std::printf("%-6s %16" PRIu64 " %16" PRIu64 "\n",
+                    workloadName(w), hw.absToRel, hw.relToAbs);
+    }
+}
+
 /** @return true on success (all cells ran, checksums agree). */
 bool
-runFig11(const std::string &out_dir, unsigned jobs)
+runFig11(SuiteContext &ctx)
 {
-    std::vector<Cell> cells;
-    for (Workload w : kAllWorkloads)
-        for (Version v : kAllVersions)
-            cells.push_back(Cell{w, v});
-
+    const std::vector<SimCell> cells = gridCells();
     const auto start = SteadyClock::now();
-    runGrid(cells, jobs);
+    bool ok = ctx.sims.ensure(cells, ctx.jobs);
     const double harness_wall = millisSince(start);
 
     double serial_sum = 0;
-    bool ok = true;
-    for (const Cell &cell : cells) {
-        serial_sum += cell.wallMs;
-        if (cell.failed) {
-            std::fprintf(stderr, "FAIL %s/%s: %s\n",
-                         workloadName(cell.workload),
-                         versionName(cell.version), cell.error.c_str());
-            ok = false;
-        }
-    }
+    for (const SimCell &cell : cells)
+        serial_sum += ctx.sims.at(cell).wallMs;
 
     // Soundness: every version of a workload computed the same value.
-    for (Workload w : kAllWorkloads) {
-        std::uint64_t checksum = 0;
-        bool have = false;
-        for (const Cell &cell : cells) {
-            if (cell.workload != w || cell.failed)
-                continue;
-            if (!have) {
-                checksum = cell.stats.checksum;
-                have = true;
-            } else if (cell.stats.checksum != checksum) {
-                std::fprintf(stderr,
-                             "OUTPUT MISMATCH on %s: version %s\n",
-                             workloadName(w),
-                             versionName(cell.version));
-                ok = false;
-            }
+    for (const SimCell &cell : cells) {
+        const CellOutcome &oc = ctx.sims.at(cell);
+        const CellOutcome &vol =
+            ctx.sims.at({cell.workload, Version::Volatile});
+        if (!oc.failed && !vol.failed &&
+            oc.stats.checksum != vol.stats.checksum) {
+            std::fprintf(stderr, "OUTPUT MISMATCH on %s: version %s\n",
+                         workloadName(cell.workload),
+                         versionName(cell.version));
+            ok = false;
         }
     }
 
     JsonWriter json;
     json.beginObject();
-    emitHeader(json, jobs);
+    emitHeader(json, ctx.jobs);
     json.kv("harnessWallMs", harness_wall);
     json.kv("serialSumMs", serial_sum);
     json.key("cells").beginArray();
-    for (const Cell &cell : cells) {
+    for (const SimCell &cell : cells) {
+        const CellOutcome &oc = ctx.sims.at(cell);
         json.beginObject();
         json.kv("workload", workloadName(cell.workload));
         json.kv("version", versionName(cell.version));
-        json.kv("wallMs", cell.wallMs);
-        if (cell.failed) {
-            json.kv("error", cell.error);
-        } else {
-            emitStats(json, cell.stats);
-        }
+        json.kv("wallMs", oc.wallMs);
+        if (oc.failed)
+            json.kv("error", oc.error);
+        else
+            emitStats(json, oc.stats);
         json.end();
     }
     json.end();
     json.end();
 
-    const std::string path = out_dir + "/BENCH_fig11.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    const std::string path = writeJson(json, ctx, "BENCH_fig11.json");
+    if (path.empty())
         return false;
-    }
-    std::printf("fig11 grid: %zu cells, wall %.0f ms "
+
+    printFig11(ctx.sims);
+    printFig13(ctx.sims);
+    printFig15(ctx.sims);
+    ok = printTableIII(ctx.sims) && ok;
+    printTableV(ctx.sims);
+    std::printf("\nfig11 grid: %zu cells, wall %.0f ms "
                 "(serial sum %.0f ms, %.2fx), %s\n",
                 cells.size(), harness_wall, serial_sum,
                 serial_sum / harness_wall, path.c_str());
@@ -495,7 +530,7 @@ microResolveHot(Version v, std::uint64_t objects, std::uint64_t reps)
 }
 
 bool
-runMicro(const std::string &out_dir, unsigned jobs)
+runMicro(SuiteContext &ctx)
 {
     const std::uint64_t scale = benchScale();
     struct Kernel
@@ -518,7 +553,7 @@ runMicro(const std::string &out_dir, unsigned jobs)
 
     const auto start = SteadyClock::now();
     const std::vector<CellOutcome> outcomes =
-        runForked<RunStats>(results.size(), jobs, [&](std::size_t i) {
+        runForked<RunStats>(results.size(), ctx.jobs, [&](std::size_t i) {
             const Kernel &k = kernels[i / 4];
             return k.fn(results[i].version, k.a, k.b);
         });
@@ -543,7 +578,7 @@ runMicro(const std::string &out_dir, unsigned jobs)
 
     JsonWriter json;
     json.beginObject();
-    emitHeader(json, jobs);
+    emitHeader(json, ctx.jobs);
     json.kv("harnessWallMs", harness_wall);
     json.kv("serialSumMs", serial_sum);
     json.key("cells").beginArray();
@@ -561,11 +596,9 @@ runMicro(const std::string &out_dir, unsigned jobs)
     json.end();
     json.end();
 
-    const std::string path = out_dir + "/BENCH_micro.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    const std::string path = writeJson(json, ctx, "BENCH_micro.json");
+    if (path.empty())
         return false;
-    }
     std::printf("micro: %zu cells, wall %.0f ms, %s\n", results.size(),
                 harness_wall, path.c_str());
     return ok;
@@ -588,7 +621,7 @@ struct StaticCell
 };
 
 bool
-runStatic(const std::string &out_dir)
+runStatic(SuiteContext &ctx)
 {
     using namespace upr::ir;
     const std::uint64_t kNodes = 200;
@@ -685,11 +718,9 @@ runStatic(const std::string &out_dir)
     json.end();
     json.end();
 
-    const std::string path = out_dir + "/BENCH_static.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    const std::string path = writeJson(json, ctx, "BENCH_static.json");
+    if (path.empty())
         return false;
-    }
     std::printf("static: %zu plans, wall %.0f ms, %s\n", cells.size(),
                 millisSince(start), path.c_str());
     return ok;
@@ -818,7 +849,7 @@ contentValid(const std::vector<std::uint8_t> &image,
 } // namespace faultbench
 
 bool
-runFault(const std::string &out_dir)
+runFault(SuiteContext &ctx)
 {
     // Sweeps spew (expected) torn-log warnings; keep the bench output
     // readable.
@@ -881,11 +912,9 @@ runFault(const std::string &out_dir)
     json.end();
     setLogSink(nullptr);
 
-    const std::string path = out_dir + "/BENCH_fault.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    const std::string path = writeJson(json, ctx, "BENCH_fault.json");
+    if (path.empty())
         return false;
-    }
     std::printf("fault: %zu modes, wall %.0f ms, %s\n",
                 sizeof(kModes) / sizeof(kModes[0]),
                 millisSince(start), path.c_str());
@@ -905,7 +934,7 @@ runFault(const std::string &out_dir)
 // ----------------------------------------------------------------------
 
 bool
-runExec(const std::string &out_dir)
+runExec(SuiteContext &ctx)
 {
     const std::uint64_t scale = benchScale();
     const std::vector<ExecWorkload> workloads = execWorkloads(scale);
@@ -993,11 +1022,9 @@ runExec(const std::string &out_dir)
     json.end();
     json.end();
 
-    const std::string path = out_dir + "/BENCH_exec.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    const std::string path = writeJson(json, ctx, "BENCH_exec.json");
+    if (path.empty())
         return false;
-    }
     std::printf("exec: %zu workloads x 2 tiers, wall %.0f ms, %s\n",
                 workloads.size(), millisSince(start), path.c_str());
     return ok;
@@ -1025,7 +1052,7 @@ struct TxnCell
 } // namespace txnbench
 
 bool
-runTxn(const std::string &out_dir)
+runTxn(SuiteContext &ctx)
 {
     const txnbench::TxnCell cells[] = {
         {"undo", EngineKind::Undo, 1},
@@ -1269,11 +1296,9 @@ runTxn(const std::string &out_dir)
         ok = false;
     }
 
-    const std::string path = out_dir + "/BENCH_txn.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    const std::string path = writeJson(json, ctx, "BENCH_txn.json");
+    if (path.empty())
         return false;
-    }
     std::printf("txn: %zu engines + 4 ir cells, wall %.0f ms, %s\n",
                 sizeof(cells) / sizeof(cells[0]), millisSince(start),
                 path.c_str());
@@ -1406,7 +1431,7 @@ runCell(char preset, unsigned threads)
 } // namespace concbench
 
 bool
-runConcurrent(const std::string &out_dir, unsigned jobs)
+runConcurrent(SuiteContext &ctx)
 {
     struct CCell
     {
@@ -1420,7 +1445,7 @@ runConcurrent(const std::string &out_dir, unsigned jobs)
 
     const auto start = SteadyClock::now();
     const auto outcomes = runForked<concbench::ConcurrentStats>(
-        cells.size(), jobs, [&](std::size_t i) {
+        cells.size(), ctx.jobs, [&](std::size_t i) {
             return concbench::runCell(cells[i].preset,
                                       cells[i].threads);
         });
@@ -1440,7 +1465,7 @@ runConcurrent(const std::string &out_dir, unsigned jobs)
 
     JsonWriter json;
     json.beginObject();
-    emitHeader(json, jobs);
+    emitHeader(json, ctx.jobs);
     json.kv("harnessWallMs", harness_wall);
     json.kv("serialSumMs", serial_sum);
     json.key("cells").beginArray();
@@ -1468,15 +1493,54 @@ runConcurrent(const std::string &out_dir, unsigned jobs)
     json.end();
     json.end();
 
-    const std::string path = out_dir + "/BENCH_concurrent.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    const std::string path = writeJson(json, ctx, "BENCH_concurrent.json");
+    if (path.empty())
         return false;
-    }
     std::printf("concurrent: %zu cells, wall %.0f ms "
                 "(serial sum %.0f ms), %s\n",
                 cells.size(), harness_wall, serial_sum, path.c_str());
     return ok;
+}
+
+/** One named suite of the registry. */
+struct Suite
+{
+    const char *name;
+    bool byDefault;
+    bool (*run)(SuiteContext &);
+};
+
+/**
+ * Every suite, in the order they run. The suites that fork a child per
+ * cell come first: the serial ones (static onwards) simulate in the
+ * harness process itself, which moves the branch-salt state that every
+ * later fork inherits. fault, txn, exec and concurrent are opt-in:
+ * they register lazy metrics groups ("fault", "txn", "exec", shard
+ * prefixes) that default runs must leave unregistered so the default
+ * goldens and metrics dumps stay bit-identical.
+ */
+const Suite kSuites[] = {
+    {"fig11", true, runFig11},
+    {"micro", true, runMicro},
+    {"paper", false, runPaperSuite},
+    {"concurrent", false, runConcurrent},
+    {"static", true, runStatic},
+    {"fault", false, runFault},
+    {"txn", false, runTxn},
+    {"exec", false, runExec},
+};
+
+int
+usage(const char *argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--quick] [--jobs N] [--out DIR] "
+                 "[SUITE...]\nsuites:",
+                 argv0);
+    for (const Suite &s : kSuites)
+        std::fprintf(stderr, " %s%s", s.name, s.byDefault ? "*" : "");
+    std::fprintf(stderr, " (* = run when none is named)\n");
+    return 2;
 }
 
 } // namespace
@@ -1484,27 +1548,11 @@ runConcurrent(const std::string &out_dir, unsigned jobs)
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = std::thread::hardware_concurrency();
-    if (jobs == 0)
-        jobs = 1;
-    std::string out_dir = ".";
-    bool fig11 = true;
-    bool micro = true;
-    bool static_sec = true;
-    // Opt-in only: the sweep exercises the fault-injection paths,
-    // which must stay untouched (and their lazy "fault" metrics group
-    // unregistered) in default runs so the existing BENCH goldens and
-    // metrics dumps stay bit-identical.
-    bool fault = false;
-    // Opt-in for the same reason: running transactions would register
-    // the lazy "txn" metrics group.
-    bool txn = false;
-    // Opt-in for the same reason: lowering registers the lazy "exec"
-    // metrics group.
-    bool exec = false;
-    // Opt-in for the same reason: shard fleets register the lazy
-    // "txn" group and prefixed per-shard groups.
-    bool concurrent = false;
+    SuiteContext ctx;
+    ctx.jobs = std::max(1u, std::thread::hardware_concurrency());
+    ctx.outDir = ".";
+    bool selected[std::size(kSuites)] = {};
+    bool any_selected = false;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -1515,75 +1563,37 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--jobs") && i + 1 < argc) {
             const long v = std::atol(argv[++i]);
             if (v >= 1)
-                jobs = static_cast<unsigned>(v);
+                ctx.jobs = static_cast<unsigned>(v);
         } else if (!std::strcmp(arg, "--out") && i + 1 < argc) {
-            out_dir = argv[++i];
-        } else if (!std::strcmp(arg, "--fig11-only")) {
-            micro = false;
-            static_sec = false;
-        } else if (!std::strcmp(arg, "--micro-only")) {
-            fig11 = false;
-            static_sec = false;
-        } else if (!std::strcmp(arg, "--static-only")) {
-            fig11 = false;
-            micro = false;
-        } else if (!std::strcmp(arg, "--fault-only")) {
-            fig11 = false;
-            micro = false;
-            static_sec = false;
-            fault = true;
-        } else if (!std::strcmp(arg, "--txn-only")) {
-            fig11 = false;
-            micro = false;
-            static_sec = false;
-            txn = true;
-        } else if (!std::strcmp(arg, "--exec-only")) {
-            fig11 = false;
-            micro = false;
-            static_sec = false;
-            exec = true;
-        } else if (!std::strcmp(arg, "--concurrent-only")) {
-            fig11 = false;
-            micro = false;
-            static_sec = false;
-            concurrent = true;
+            ctx.outDir = argv[++i];
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--jobs N] [--out DIR] "
-                         "[--fig11-only | --micro-only | "
-                         "--static-only | --fault-only | "
-                         "--txn-only | --exec-only | "
-                         "--concurrent-only]\n",
-                         argv[0]);
-            return 2;
+            std::size_t s = 0;
+            while (s < std::size(kSuites) &&
+                   std::strcmp(arg, kSuites[s].name) != 0)
+                ++s;
+            if (s == std::size(kSuites))
+                return usage(argv[0]);
+            selected[s] = any_selected = true;
         }
     }
 
     printConfigBanner();
-    std::printf("# harness: %u worker process(es), git %s\n", jobs,
+    std::printf("# harness: %u worker process(es), git %s\n", ctx.jobs,
                 UPR_GIT_REV);
 
     bool ok = true;
-    if (fig11)
-        ok = runFig11(out_dir, jobs) && ok;
-    if (micro)
-        ok = runMicro(out_dir, jobs) && ok;
-    if (static_sec)
-        ok = runStatic(out_dir) && ok;
-    if (fault)
-        ok = runFault(out_dir) && ok;
-    if (txn)
-        ok = runTxn(out_dir) && ok;
-    if (exec)
-        ok = runExec(out_dir) && ok;
-    if (concurrent)
-        ok = runConcurrent(out_dir, jobs) && ok;
+    for (std::size_t s = 0; s < std::size(kSuites); ++s) {
+        if (any_selected ? !selected[s] : !kSuites[s].byDefault)
+            continue;
+        std::printf("\n== %s ==\n", kSuites[s].name);
+        ok = kSuites[s].run(ctx) && ok;
+    }
 
     // With UPR_OBS_TRACE set, dump the harness process's event ring
-    // (the serial static section and any in-process setup; forked
-    // cells have their own rings that die with them).
+    // (the serial suites and any in-process setup; forked cells have
+    // their own rings that die with them).
     if (obs::traceEnabled()) {
-        const std::string path = out_dir + "/BENCH_trace.json";
+        const std::string path = ctx.outDir + "/BENCH_trace.json";
         std::ofstream trace(path);
         if (trace) {
             obs::traceRing().exportChromeTrace(trace);

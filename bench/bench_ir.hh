@@ -1,7 +1,7 @@
 /**
  * @file
  * Execution-tier IR workloads and runner glue, shared by the bench
- * harness (`--exec-only`, BENCH_exec.json) and the exec-tier tests
+ * harness (`exec` suite, BENCH_exec.json) and the exec-tier tests
  * so both drive exactly the same programs with the same check plans.
  *
  * Each workload compiles once (parse, open-world inference, flow

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Compare two bench_harness JSON outputs (BENCH_fig11.json /
-BENCH_micro.json).
+"""Compare two bench_harness JSON outputs (any BENCH_*.json).
 
 Two different contracts are enforced:
 
-* Simulated model counters (cycles, checksum, memAccesses, ...) are
-  part of the model's behaviour. Any drift between the two files is a
-  HARD ERROR (exit 2): either the model changed on purpose (then the
-  goldens must be recaptured and the change called out) or a
-  "host-side-only" optimization leaked into the model.
+* Every cell key except the host-time ones (HOST_KEYS) is part of the
+  model's behaviour: simulated counters, checksums, fault-sweep
+  outcome tallies, fence/flush counts, plan statistics, and the
+  simulated-cycle histograms under "metrics". Any drift between the
+  two files -- a changed value, or a key present on one side only --
+  is a HARD ERROR (exit 2): either the model changed on purpose (then
+  the goldens must be recaptured and the change called out) or a
+  "host-side-only" optimization leaked into the model. A cell missing
+  from the new file is drift too.
 
 * Wall-clock times are host-side and noisy. A cell or harness total
   regressing by more than the threshold (default 10%) is FLAGGED
@@ -25,70 +28,10 @@ import argparse
 import json
 import sys
 
-# Every simulated counter a cell can carry; all must match exactly.
-MODEL_KEYS = (
-    "cycles", "checksum", "memAccesses", "storePs",
-    "polbAccesses", "polbWalks", "valbAccesses", "valbWalks",
-    "branches", "branchMisses", "dynamicChecks", "absToRel",
-    "relToAbs", "reuseHits",
-)
-
-# Histogram summaries under a cell's "metrics" object that are
-# simulated-cycle based and therefore deterministic. Only compared
-# when both files carry the section (pre-observability baselines
-# don't).
-METRICS_KEYS = ("checkCycles", "ptrAssignCycles")
-
-# Fault-sweep cells (BENCH_fault.json): every outcome tally is
-# seed-driven and deterministic, so any drift is a hard error just
-# like the model counters. wallMs stays host-side/noisy as usual.
-FAULT_KEYS = (
-    "crashPointsSampled", "injections", "benign", "repaired",
-    "quarantined", "rejected", "noEffect", "silent", "containment",
-)
-
-# Txn-engine cells (BENCH_txn.json): the flush/fence tallies are exact
-# functions of the fence-accounting model (docs/CRASH_CONSISTENCY.md),
-# so counter drift is a hard error — an ordering-protocol change must
-# recapture the golden deliberately. commitNs is real wall time and is
-# not compared.
-TXN_KEYS = (
-    "txns", "writesPerTxn", "commits", "fences", "flushes",
-    "groupBatches", "groupTxns",
-    # txn-ir cells: the proof-driven logging-elision win. Counts are
-    # exact functions of the plan and the fence-accounting model.
-    "undoElidedWrites", "redoElidedRuns", "redoJournalBytes",
-    "logElided",
-)
-
-# Static-analysis cells (BENCH_static.json): check-insertion site
-# counts and the persistency analysis's proof/diagnostic tallies are
-# exact functions of the module — any drift means the analysis
-# changed, and the golden must be recaptured deliberately.
-STATIC_KEYS = (
-    "staticTotalSites", "staticRemainingSites", "staticRefinedSites",
-    "staticElidedSites", "irInstructions", "irDynamicChecks",
-    "txStores", "elidedFresh", "elidedDominated", "persistencyDiags",
-)
-
-# Concurrent cells (BENCH_concurrent.json): the sharded KV store's
-# results depend only on per-shard sequential histories, so every
-# tally — including the makespan/total in *modeled* cycles — is
-# schedule-independent and drift is a hard error. commitNs is real
-# wall time and is not compared.
-CONCURRENT_KEYS = (
-    "threads", "gets", "getHits", "sets", "maxCycles", "sumCycles",
-    "commits",
-)
-
-# Execution-tier cells (BENCH_exec.json): lowering statistics and
-# per-tier counters are exact functions of the module and check plan,
-# so drift is a hard error. (checksum / dynamicChecks are already in
-# MODEL_KEYS.) wallMs stays host-side/noisy as usual.
-EXEC_KEYS = (
-    "irInstructions", "loweredSites", "retainedGuards",
-    "elidedGuards", "elidedSites", "fusedPairs",
-)
+# The only cell keys measured on the host (real time, noisy): wallMs,
+# and the txn/concurrent cells' commit-latency histogram in host ns.
+# Every other key must match exactly.
+HOST_KEYS = ("wallMs", "commitNs")
 
 # Cross-tier contract inside one BENCH_exec.json: for each workload,
 # the model and native cells must agree on these exactly — a Native
@@ -210,23 +153,13 @@ def main():
         if "error" in old or "error" in new:
             continue
 
-        for k in (MODEL_KEYS + FAULT_KEYS + TXN_KEYS + EXEC_KEYS +
-                  STATIC_KEYS + CONCURRENT_KEYS):
-            if old.get(k) != new.get(k):
-                drift.append(
-                    f"{fmt_cell(key)}: {k} {old.get(k)} -> "
-                    f"{new.get(k)}")
-
-        om, nm = old.get("metrics"), new.get("metrics")
-        if om is not None and nm is not None:
-            for k in METRICS_KEYS:
-                if om.get(k) != nm.get(k):
-                    drift.append(
-                        f"{fmt_cell(key)}: metrics.{k} {om.get(k)} "
-                        f"-> {nm.get(k)}")
-        elif (om is None) != (nm is None):
-            notes.append(f"{fmt_cell(key)}: metrics section only in "
-                         f"{'new' if om is None else 'old'} file")
+        for k in sorted((set(old) | set(new)) - set(HOST_KEYS)):
+            if k not in new or k not in old:
+                drift.append(f"{fmt_cell(key)}: {k} only in "
+                             f"{'old' if k in old else 'new'} file")
+            elif old[k] != new[k]:
+                drift.append(f"{fmt_cell(key)}: {k} {old[k]} -> "
+                             f"{new[k]}")
 
         ow, nw = old.get("wallMs"), new.get("wallMs")
         if ow and nw and ow > 0:

@@ -1,6 +1,8 @@
 #!/bin/sh
 # CI entry point:
-#   1. full RelWithDebInfo build + complete test suite;
+#   1. full RelWithDebInfo build + complete test suite, then the suites
+#      that write pool/trace image files again, in random order and
+#      repeated, to catch tests sharing a scratch path;
 #   2. ASan+UBSan build (cmake --preset asan) + the crash, compiler,
 #      obs, fault, txn, exec and concurrent test labels — the suites
 #      that exercise raw-memory recovery paths, deliberately corrupted
@@ -28,6 +30,11 @@ echo "==> tier 1: full build + full test suite"
 cmake --preset default
 cmake --build --preset default -j "$JOBS"
 ctest --preset default -j "$JOBS"
+
+echo "==> tier 1r: image-file suites, shuffled and repeated in parallel"
+ctest --test-dir build -j "$JOBS" --schedule-random \
+    --repeat until-fail:3 \
+    -R 'CrashRecoveryFromImage|EntangledPools|PoolManager|EdgeCase|Trace'
 
 echo "==> tier 2: ASan+UBSan build + crash/compiler labels"
 cmake --preset asan
@@ -58,28 +65,28 @@ echo "persistency: $(ls tests/ir_corpus/*.ir | wc -l) fixtures," \
 
 echo "==> tier 4: hostile-media fault sweep vs golden"
 FAULT_OUT=$(mktemp -d)
-build/bench/bench_harness --fault-only --out "$FAULT_OUT" > /dev/null
+build/bench/bench_harness fault --out "$FAULT_OUT" > /dev/null
 python3 scripts/bench_diff.py --wall-threshold 100000 \
     BENCH_fault.json "$FAULT_OUT/BENCH_fault.json"
 rm -rf "$FAULT_OUT"
 
 echo "==> tier 4t: txn-engine fence accounting vs golden"
 TXN_OUT=$(mktemp -d)
-build/bench/bench_harness --txn-only --out "$TXN_OUT" > /dev/null
+build/bench/bench_harness txn --out "$TXN_OUT" > /dev/null
 python3 scripts/bench_diff.py --wall-threshold 100000 \
     BENCH_txn.json "$TXN_OUT/BENCH_txn.json"
 rm -rf "$TXN_OUT"
 
 echo "==> tier 4x: execution-tier invariance + speedup vs golden"
 EXEC_OUT=$(mktemp -d)
-build/bench/bench_harness --exec-only --out "$EXEC_OUT" > /dev/null
+build/bench/bench_harness exec --out "$EXEC_OUT" > /dev/null
 python3 scripts/bench_diff.py --wall-threshold 100000 \
     BENCH_exec.json "$EXEC_OUT/BENCH_exec.json"
 rm -rf "$EXEC_OUT"
 
 echo "==> tier 4c: concurrent KV store schedule independence vs golden"
 CONC_OUT=$(mktemp -d)
-build/bench/bench_harness --concurrent-only --out "$CONC_OUT" > /dev/null
+build/bench/bench_harness concurrent --out "$CONC_OUT" > /dev/null
 python3 scripts/bench_diff.py --wall-threshold 100000 \
     BENCH_concurrent.json "$CONC_OUT/BENCH_concurrent.json"
 rm -rf "$CONC_OUT"
@@ -125,7 +132,7 @@ def cpu_of_run(out, trace):
         env["UPR_OBS_TRACE"] = "1"
     t0 = os.times()
     subprocess.run(
-        ["build/bench/bench_harness", "--fig11-only",
+        ["build/bench/bench_harness", "fig11",
          "--jobs", jobs, "--out", out],
         check=True, stdout=subprocess.DEVNULL, env=env)
     t1 = os.times()

@@ -18,9 +18,9 @@ trap 'rm -rf "$WORK"' EXIT
 cd "$WORK" || exit 2
 fail=0
 
-# A real bench document (micro section only: milliseconds of work).
-if ! "$HARNESS" --quick --micro-only --jobs 2 --out . > /dev/null; then
-    echo "FAIL: bench_harness --quick --micro-only" >&2
+# A real bench document (micro suite only: milliseconds of work).
+if ! "$HARNESS" --quick --jobs 2 --out . micro > /dev/null; then
+    echo "FAIL: bench_harness --quick micro" >&2
     exit 1
 fi
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "containers/memory_env.hh"
+#include "temp_path.hh"
 
 using namespace upr;
 
@@ -143,8 +144,8 @@ TEST_P(CrossPool, EntangledPoolsRoundTripThroughImages)
     b.setField(&Node::value, std::uint64_t{0x5EED});
     rt.pools().pool(poolA).setRootOff(PtrRepr::offsetOf(a.bits()));
 
-    const std::string pa = ::testing::TempDir() + "/xa.img";
-    const std::string pb = ::testing::TempDir() + "/xb.img";
+    const test::TempPath pa("xa.img");
+    const test::TempPath pb("xb.img");
     rt.pools().saveImage(poolA, pa);
     rt.pools().saveImage(poolB, pb);
 
@@ -160,8 +161,6 @@ TEST_P(CrossPool, EntangledPoolsRoundTripThroughImages)
         a2, rt2.pools().pool(a2).rootOff()));
     EXPECT_EQ(root.ptrField(&Node::next).field(&Node::value),
               0x5EEDu);
-    std::remove(pa.c_str());
-    std::remove(pb.c_str());
 }
 
 TEST_P(CrossPool, ComparisonsAcrossPools)

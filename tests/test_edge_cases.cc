@@ -9,6 +9,7 @@
 #include "compiler/ir_parser.hh"
 #include "containers/memory_env.hh"
 #include "nvm/pool_manager.hh"
+#include "temp_path.hh"
 
 using namespace upr;
 
@@ -19,15 +20,13 @@ using namespace upr;
 namespace
 {
 
-std::string
-writeTempImage(const std::vector<std::uint8_t> &bytes,
-               const std::string &name)
+void
+writeImage(const std::vector<std::uint8_t> &bytes,
+           const std::string &path)
 {
-    const std::string path = ::testing::TempDir() + "/" + name;
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(reinterpret_cast<const char *>(bytes.data()),
              static_cast<std::streamsize>(bytes.size()));
-    return path;
 }
 
 } // namespace
@@ -37,7 +36,7 @@ TEST(ImageCorruption, FlippedMagicRejected)
     AddressSpace space;
     PoolManager mgr(space);
     const PoolId id = mgr.createPool("src", 1 << 20);
-    const std::string good = ::testing::TempDir() + "/good.img";
+    const test::TempPath good("good.img");
     mgr.saveImage(id, good);
 
     std::ifstream is(good, std::ios::binary);
@@ -45,13 +44,12 @@ TEST(ImageCorruption, FlippedMagicRejected)
         (std::istreambuf_iterator<char>(is)),
         std::istreambuf_iterator<char>());
     bytes[0] ^= 0xFF; // corrupt the magic
-    const std::string bad = writeTempImage(bytes, "bad_magic.img");
+    const test::TempPath bad("bad_magic.img");
+    writeImage(bytes, bad);
 
     AddressSpace space2;
     PoolManager mgr2(space2);
     EXPECT_THROW(mgr2.loadImage(bad, "x"), Fault);
-    std::remove(good.c_str());
-    std::remove(bad.c_str());
 }
 
 TEST(ImageCorruption, TruncatedImageRejected)
@@ -59,7 +57,7 @@ TEST(ImageCorruption, TruncatedImageRejected)
     AddressSpace space;
     PoolManager mgr(space);
     const PoolId id = mgr.createPool("src", 1 << 20);
-    const std::string good = ::testing::TempDir() + "/good2.img";
+    const test::TempPath good("good.img");
     mgr.saveImage(id, good);
 
     std::ifstream is(good, std::ios::binary);
@@ -67,13 +65,12 @@ TEST(ImageCorruption, TruncatedImageRejected)
         (std::istreambuf_iterator<char>(is)),
         std::istreambuf_iterator<char>());
     bytes.resize(bytes.size() / 2); // size-field mismatch
-    const std::string bad = writeTempImage(bytes, "truncated.img");
+    const test::TempPath bad("truncated.img");
+    writeImage(bytes, bad);
 
     AddressSpace space2;
     PoolManager mgr2(space2);
     EXPECT_THROW(mgr2.loadImage(bad, "x"), Fault);
-    std::remove(good.c_str());
-    std::remove(bad.c_str());
 }
 
 TEST(ImageCorruption, DuplicatePoolIdRejectedOnLoad)
@@ -81,11 +78,10 @@ TEST(ImageCorruption, DuplicatePoolIdRejectedOnLoad)
     AddressSpace space;
     PoolManager mgr(space);
     const PoolId id = mgr.createPool("orig", 1 << 20);
-    const std::string img = ::testing::TempDir() + "/dup.img";
+    const test::TempPath img("dup.img");
     mgr.saveImage(id, img);
     // The image's ID collides with the still-live pool.
     EXPECT_THROW(mgr.loadImage(img, "copy"), Fault);
-    std::remove(img.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "nvm/pool_manager.hh"
+#include "temp_path.hh"
 
 using namespace upr;
 
@@ -162,7 +163,7 @@ TEST_F(PoolManagerTest, SaveAndLoadImageAcrossManagers)
     space.write<std::uint64_t>(va, 0xABCDE);
     const PoolOffset off = mgr.va2ra(va).second;
 
-    const std::string path = ::testing::TempDir() + "/pool.img";
+    const test::TempPath path("pool.img");
     mgr.saveImage(id, path);
 
     // A brand new "machine/process".
@@ -172,17 +173,14 @@ TEST_F(PoolManagerTest, SaveAndLoadImageAcrossManagers)
     EXPECT_EQ(id2, id); // pool IDs are system-wide and persistent
     const SimAddr va2 = mgr2.ra2va(id2, off);
     EXPECT_EQ(space2.read<std::uint64_t>(va2), 0xABCDEu);
-
-    std::remove(path.c_str());
 }
 
 TEST_F(PoolManagerTest, LoadImageRejectsGarbage)
 {
-    const std::string path = ::testing::TempDir() + "/garbage.img";
+    const test::TempPath path("garbage.img");
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("not a pool image", f);
     std::fclose(f);
     EXPECT_THROW(mgr.loadImage(path, "bad"), Fault);
-    std::remove(path.c_str());
 }

@@ -9,6 +9,7 @@
 
 #include "containers/rb_tree.hh"
 #include "nvm/txn.hh"
+#include "temp_path.hh"
 
 using namespace upr;
 
@@ -114,7 +115,7 @@ TEST_P(RuntimeTxn, CrashRecoveryFromImage)
     // Attach the recovered image in a new runtime and re-check.
     Runtime rt2(makeConfig(GetParam()));
     RuntimeScope scope2(rt2);
-    const std::string path = ::testing::TempDir() + "/crash.img";
+    const test::TempPath path("crash.img");
     {
         // Round-trip the recovered image through a file, as a new
         // process would receive it.
@@ -132,7 +133,6 @@ TEST_P(RuntimeTxn, CrashRecoveryFromImage)
     EXPECT_EQ(reopened.size(), 20u); // pre-txn state exactly
     for (std::uint64_t i = 0; i < 20; ++i)
         ASSERT_EQ(reopened.find(i).value(), i * 2);
-    std::remove(path.c_str());
 }
 
 TEST_P(RuntimeTxn, NestedBeginRejected)

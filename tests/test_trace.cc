@@ -7,6 +7,7 @@
 
 #include "arch/trace.hh"
 #include "containers/rb_tree.hh"
+#include "temp_path.hh"
 
 using namespace upr;
 
@@ -111,7 +112,7 @@ TEST(Trace, SaveLoadRoundTrip)
     auto [trace, cycles] = recordWorkload(Version::Hw, params);
     (void)cycles;
 
-    const std::string path = ::testing::TempDir() + "/t.trace";
+    const test::TempPath path("t.trace");
     trace.save(path);
     const Trace loaded = Trace::load(path);
     ASSERT_EQ(loaded.size(), trace.size());
@@ -124,18 +125,16 @@ TEST(Trace, SaveLoadRoundTrip)
     // A loaded trace replays identically.
     EXPECT_EQ(replayTrace(loaded, params).cycles,
               replayTrace(trace, params).cycles);
-    std::remove(path.c_str());
 }
 
 TEST(Trace, LoadRejectsGarbage)
 {
-    const std::string path = ::testing::TempDir() + "/garbage.trace";
+    const test::TempPath path("garbage.trace");
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("not a trace", f);
     std::fclose(f);
     EXPECT_THROW(Trace::load(path), Fault);
-    std::remove(path.c_str());
 }
 
 TEST(Trace, DetachedSinkRecordsNothing)
