@@ -38,7 +38,7 @@
 
 #include "bench_harness.hh"
 #include "bench_ir.hh"
-#include "bench_json.hh"
+#include "common/json.hh"
 #include "compiler/analysis/abstract_interp.hh"
 #include "compiler/analysis/elision.hh"
 #include "compiler/demo_programs.hh"

@@ -7,7 +7,8 @@
 # `uprlint --report-elision <name>.ir` output plus a final "exit=N"
 # line, and a <name>.json.expect holding the `--json` document — the
 # machine-readable per-site elision contract (siteRecords) that the
-# fast-path lowering consumes. Regenerate goldens after an
+# fast-path lowering consumes; that document must also pass a strict
+# parse (python3 json) before the diff. Regenerate goldens after an
 # intentional output change with:
 #   cd tests/ir_corpus && for f in *.ir; do
 #     { uprlint --report-elision "$f"; echo "exit=$?"; } > "${f%.ir}.expect"
@@ -49,6 +50,12 @@ for f in *.ir; do
     fi
     actual=$("$UPRLINT" --json --report-elision "$f" 2>&1
              echo "exit=$?")
+    # The body is everything before the final exit= line.
+    if ! printf '%s\n' "$actual" | sed '$d' |
+         python3 -c 'import json,sys; json.load(sys.stdin)'; then
+        echo "MALFORMED JSON: $f (--json)" >&2
+        fail=1
+    fi
     expected=$(cat "$base.json.expect")
     if [ "$actual" != "$expected" ]; then
         echo "GOLDEN MISMATCH: $f (--json)" >&2

@@ -11,6 +11,12 @@ IMG="$TMP/pool.img"
 
 fail() { echo "uprpool_check: $1" >&2; exit 1; }
 
+# Strict parse (python3 json) of a --json report, failing by name.
+strict_json() { # file
+    python3 -c 'import json,sys; json.load(sys.stdin)' < "$1" \
+        || fail "--json output is not valid JSON: $(basename "$1")"
+}
+
 # dd one 0xFF byte of damage at a fixed header offset.
 smash() { # offset
     printf '\377' | dd of="$IMG" bs=1 seek="$1" count=1 conv=notrunc \
@@ -29,6 +35,7 @@ smash 72
 status=$?
 [ $status -eq 1 ] || fail "identCrc damage: expected exit 1, got $status"
 "$UPRPOOL" check --json "$IMG" > "$TMP/rep.json"
+strict_json "$TMP/rep.json"
 grep -q '"status": "repairable"' "$TMP/rep.json" \
     || fail "--json must report repairable"
 
@@ -49,6 +56,7 @@ status=$?
 status=$?
 [ $status -eq 2 ] || fail "arenaStart repair: expected 2, got $status"
 "$UPRPOOL" check --json "$IMG" > "$TMP/corrupt.json"
+strict_json "$TMP/corrupt.json"
 grep -q '"status": "corrupt"' "$TMP/corrupt.json" \
     || fail "--json must report corrupt"
 
@@ -58,12 +66,15 @@ RIMG="$TMP/redo.img"
 "$UPRPOOL" info "$RIMG" | grep -q "redo" \
     || fail "info must name the redo engine"
 "$UPRPOOL" check --json "$RIMG" > "$TMP/redo.json"
+strict_json "$TMP/redo.json"
 grep -q '"engine": "redo"' "$TMP/redo.json" \
     || fail "--json must name the redo engine"
 "$UPRPOOL" check "$RIMG" > /dev/null \
     || fail "fresh redo image: check must exit 0"
 "$UPRPOOL" create "$TMP/u2.img" 1 undo || fail "create undo failed"
-"$UPRPOOL" check --json "$TMP/u2.img" | grep -q '"engine": "undo"' \
+"$UPRPOOL" check --json "$TMP/u2.img" > "$TMP/u2.json"
+strict_json "$TMP/u2.json"
+grep -q '"engine": "undo"' "$TMP/u2.json" \
     || fail "--json must name the undo engine"
 "$UPRPOOL" create "$TMP/bad.img" 1 frob 2> /dev/null
 status=$?

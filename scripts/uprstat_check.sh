@@ -1,7 +1,8 @@
 #!/bin/sh
-# uprstat contract checks: canonical-JSON round-trip stability, pretty
-# printing of both accepted document shapes, and diff semantics
-# (identical -> exit 0, any changed entry -> exit 1 and a delta row).
+# uprstat contract checks: canonical-JSON round-trip stability and
+# strict validity, pretty printing of both accepted document shapes,
+# and diff semantics (identical -> exit 0, any changed entry -> exit 1
+# and a delta row).
 #
 #   uprstat_check.sh <path-to-uprstat> <path-to-bench_harness>
 set -u
@@ -38,12 +39,26 @@ cat > snap.json <<'EOF'
 }
 EOF
 
-for doc in BENCH_micro.json snap.json; do
+# A control byte in a name must come back escaped, not raw.
+cat > ctl.json <<'EOF'
+{"counters": {"a\u0001b": 1}, "histograms": {}}
+EOF
+
+# Strict parse (the stdlib parser rejects raw control characters).
+strict_json() {
+    python3 -c 'import json,sys; json.load(sys.stdin)' < "$1"
+}
+
+for doc in BENCH_micro.json snap.json ctl.json; do
     # Round trip: dump(parse(x)) is stable under a second pass.
     "$UPRSTAT" --json "$doc" > rt1.json || fail=1
     "$UPRSTAT" --json rt1.json > rt2.json || fail=1
     if ! cmp -s rt1.json rt2.json; then
         echo "FAIL: $doc: canonical form not byte-stable" >&2
+        fail=1
+    fi
+    if ! strict_json rt1.json; then
+        echo "FAIL: $doc: canonical form is not valid JSON" >&2
         fail=1
     fi
     # Pretty print succeeds and is non-empty.
@@ -58,7 +73,17 @@ for doc in BENCH_micro.json snap.json; do
     fi
 done
 
+# The escaped control byte decodes back to the same name.
+"$UPRSTAT" --json ctl.json > rt1.json || fail=1
+if ! python3 -c 'import json,sys
+sys.exit(json.load(sys.stdin)["counters"] != {"a\x01b": 1})' < rt1.json
+then
+    echo "FAIL: control byte in a counter name not preserved" >&2
+    fail=1
+fi
+
 # Exact 64-bit round trip: 2^64-1 must survive parse -> dump.
+"$UPRSTAT" --json snap.json > rt1.json || fail=1
 if ! grep -q 18446744073709551615 rt1.json; then
     echo "FAIL: uint64 max corrupted by round trip" >&2
     fail=1

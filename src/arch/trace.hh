@@ -12,7 +12,8 @@
  *
  * Translation latencies (POLB/VALB lookups) are carried as fixed
  * events: parameter sweeps over those structures still need a live
- * run (bench_sens_memory does that); sweeps over cache geometry,
+ * run (the `bench_harness paper` suite's latency sweeps do that);
+ * sweeps over cache geometry,
  * memory latency, TLBs, and the predictor work from the trace alone.
  */
 

@@ -1,8 +1,8 @@
 #include "common/diag.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
+
+#include "common/json.hh"
 
 namespace upr
 {
@@ -88,47 +88,21 @@ DiagnosticEngine::render(const std::string &file) const
     return out;
 }
 
-std::string
-jsonEscape(const std::string &s)
+void
+DiagnosticEngine::renderJson(JsonWriter &json) const
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
+    json.beginArray();
+    for (const Diagnostic &d : diags_) {
+        json.beginObject(JsonWriter::Inline);
+        json.kv("severity", diagSeverityName(d.severity));
+        json.kv("code", d.code);
+        json.kv("line", d.loc.line);
+        json.kv("col", d.loc.col);
+        json.kv("function", d.function);
+        json.kv("message", d.message);
+        json.end();
     }
-    return out;
-}
-
-std::string
-DiagnosticEngine::renderJson() const
-{
-    std::ostringstream os;
-    os << "[";
-    for (std::size_t i = 0; i < diags_.size(); ++i) {
-        const Diagnostic &d = diags_[i];
-        os << (i ? "," : "") << "\n    {\"severity\": \""
-           << diagSeverityName(d.severity) << "\", \"code\": \""
-           << jsonEscape(d.code) << "\", \"line\": " << d.loc.line
-           << ", \"col\": " << d.loc.col << ", \"function\": \""
-           << jsonEscape(d.function) << "\", \"message\": \""
-           << jsonEscape(d.message) << "\"}";
-    }
-    os << (diags_.empty() ? "]" : "\n  ]");
-    return os.str();
+    json.end();
 }
 
 } // namespace upr

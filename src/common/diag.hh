@@ -20,6 +20,8 @@
 namespace upr
 {
 
+class JsonWriter;
+
 /** A position in an IR source file (1-based; 0 = unknown). */
 struct SrcLoc
 {
@@ -107,17 +109,15 @@ class DiagnosticEngine
     /** One rendered line per diagnostic, newline-terminated. */
     std::string render(const std::string &file = "") const;
 
-    /** JSON array of diagnostic objects. */
-    std::string renderJson() const;
+    /** Write the diagnostics to @p json as an array value, one
+     * single-line object per diagnostic. */
+    void renderJson(JsonWriter &json) const;
 
     void clear() { diags_.clear(); }
 
   private:
     std::vector<Diagnostic> diags_;
 };
-
-/** Escape a string for embedding in a JSON document. */
-std::string jsonEscape(const std::string &s);
 
 } // namespace upr
 

@@ -1,11 +1,11 @@
 #include "nvm/pool_check.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 #include <utility>
 
 #include "common/fault.hh"
+#include "common/json.hh"
 #include "faultinject/fault_stats.hh"
 #include "nvm/engine.hh"
 #include "nvm/pool.hh"
@@ -17,20 +17,6 @@ namespace upr
 
 namespace
 {
-
-/** Minimal JSON string escaping (our diagnostics are plain ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
 
 /**
  * Mirror of the Pool adopt constructor's geometry checks, as a
@@ -142,36 +128,30 @@ rootInsideAllocatedBlock(const Pool &pool)
 std::string
 CheckReport::toJson() const
 {
-    std::string out = "{\n  \"status\": \"";
-    out += checkStatusName(status);
-    out += "\",\n  \"issues\": [";
-    bool first = true;
+    JsonWriter json;
+    json.beginObject();
+    json.kv("status", checkStatusName(status));
+    json.key("issues").beginArray();
     for (const CheckIssue &i : issues) {
-        out += first ? "\n" : ",\n";
-        out += "    {\"component\": \"" + jsonEscape(i.component) +
-               "\", \"what\": \"" + jsonEscape(i.what) +
-               "\", \"repairable\": " +
-               (i.repairable ? "true" : "false") + ", \"repaired\": " +
-               (i.repaired ? "true" : "false") + "}";
-        first = false;
+        json.beginObject(JsonWriter::Inline);
+        json.kv("component", i.component);
+        json.kv("what", i.what);
+        json.kv("repairable", i.repairable);
+        json.kv("repaired", i.repaired);
+        json.end();
     }
-    out += first ? "],\n" : "\n  ],\n";
-    char buf[224];
-    std::snprintf(buf, sizeof(buf),
-                  "  \"engine\": \"%s\",\n"
-                  "  \"log\": {\"active\": %s, \"entries\": %zu, "
-                  "\"discardedBytes\": %llu, \"lostCommitted\": %s, "
-                  "\"controlDamaged\": %s, \"generation\": %lu}\n}",
-                  engineKindName(engine),
-                  recovery.logActive ? "true" : "false",
-                  recovery.entriesReplayed,
-                  (unsigned long long)recovery.bytesDiscarded,
-                  recovery.lostCommittedEntries ? "true" : "false",
-                  recovery.controlDamaged ? "true" : "false",
-                  (unsigned long)recovery.generation);
-    out += buf;
-    out += "\n";
-    return out;
+    json.end();
+    json.kv("engine", engineKindName(engine));
+    json.key("log").beginObject(JsonWriter::Inline);
+    json.kv("active", recovery.logActive);
+    json.kv("entries", recovery.entriesReplayed);
+    json.kv("discardedBytes", recovery.bytesDiscarded);
+    json.kv("lostCommitted", recovery.lostCommittedEntries);
+    json.kv("controlDamaged", recovery.controlDamaged);
+    json.kv("generation", std::uint64_t{recovery.generation});
+    json.end();
+    json.end();
+    return json.str() + '\n';
 }
 
 CheckReport

@@ -1,10 +1,9 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 #include "common/fault.hh"
+#include "common/json.hh"
 #include "common/stats.hh"
 
 namespace upr::obs
@@ -171,70 +170,30 @@ MetricsSnapshot::minus(const MetricsSnapshot &older) const
     return d;
 }
 
-namespace
-{
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    out += buf;
-}
-
-} // namespace
-
 std::string
 MetricsSnapshot::toJson() const
 {
-    std::string out;
-    out += "{\n  \"counters\": {";
-    bool first = true;
-    for (const auto &[name, value] : counters) {
-        out += first ? "\n    " : ",\n    ";
-        appendEscaped(out, name);
-        out += ": ";
-        appendU64(out, value);
-        first = false;
-    }
-    out += first ? "}" : "\n  }";
-    out += ",\n  \"histograms\": {";
-    first = true;
+    JsonWriter json;
+    json.beginObject();
+    json.key("counters").beginObject();
+    for (const auto &[name, value] : counters)
+        json.kv(name, value);
+    json.end();
+    json.key("histograms").beginObject();
     for (const auto &[name, h] : histograms) {
-        out += first ? "\n    " : ",\n    ";
-        appendEscaped(out, name);
-        out += ": {\"count\": ";
-        appendU64(out, h.count);
-        out += ", \"sum\": ";
-        appendU64(out, h.sum);
-        out += ", \"min\": ";
-        appendU64(out, h.min);
-        out += ", \"max\": ";
-        appendU64(out, h.max);
-        out += ", \"p50\": ";
-        appendU64(out, h.percentile(50));
-        out += ", \"p90\": ";
-        appendU64(out, h.percentile(90));
-        out += ", \"p99\": ";
-        appendU64(out, h.percentile(99));
-        out += "}";
-        first = false;
+        json.key(name).beginObject(JsonWriter::Inline);
+        json.kv("count", h.count);
+        json.kv("sum", h.sum);
+        json.kv("min", h.min);
+        json.kv("max", h.max);
+        json.kv("p50", h.percentile(50));
+        json.kv("p90", h.percentile(90));
+        json.kv("p99", h.percentile(99));
+        json.end();
     }
-    out += first ? "}" : "\n  }";
-    out += "\n}\n";
-    return out;
+    json.end();
+    json.end();
+    return json.str() + '\n';
 }
 
 } // namespace upr::obs

@@ -18,8 +18,9 @@
  *     mid-overwrite, which the per-slot sequence stamp detects (the
  *     slot is skipped, not torn).
  *
- *  3. This header is self-contained (no other upr headers), so even
- *     common/fault.hh can emit events without a dependency cycle.
+ *  3. This header includes no other upr header except the
+ *     header-only common/json.hh, so even common/fault.hh can emit
+ *     events without a dependency cycle.
  *
  * Export formats: JSONL (one event object per line) and the Chrome
  * trace_event JSON array loadable in about://tracing / Perfetto.
@@ -34,6 +35,8 @@
 #include <cstring>
 #include <ostream>
 #include <vector>
+
+#include "common/json.hh"
 
 namespace upr::obs
 {
@@ -216,9 +219,14 @@ class TraceRing
     exportJsonl(std::ostream &os) const
     {
         for (const TraceRingEvent &e : snapshot()) {
-            os << "{\"seq\": " << e.seq << ", \"kind\": \""
-               << eventKindName(e.kind) << "\", \"a\": " << e.a
-               << ", \"b\": " << e.b << "}\n";
+            JsonWriter json;
+            json.beginObject(JsonWriter::Inline);
+            json.kv("seq", e.seq);
+            json.kv("kind", eventKindName(e.kind));
+            json.kv("a", e.a);
+            json.kv("b", e.b);
+            json.end();
+            os << json.str() << '\n';
         }
     }
 
@@ -229,18 +237,26 @@ class TraceRing
     void
     exportChromeTrace(std::ostream &os) const
     {
-        os << "{\"traceEvents\": [";
-        bool first = true;
+        JsonWriter json;
+        json.beginObject();
+        json.key("traceEvents").beginArray();
         for (const TraceRingEvent &e : snapshot()) {
-            os << (first ? "\n" : ",\n")
-               << "  {\"name\": \"" << eventKindName(e.kind)
-               << "\", \"ph\": \"i\", \"s\": \"g\", \"pid\": 1, "
-                  "\"tid\": 1, \"ts\": "
-               << e.seq << ", \"args\": {\"a\": " << e.a
-               << ", \"b\": " << e.b << "}}";
-            first = false;
+            json.beginObject(JsonWriter::Inline);
+            json.kv("name", eventKindName(e.kind));
+            json.kv("ph", "i");
+            json.kv("s", "g");
+            json.kv("pid", 1);
+            json.kv("tid", 1);
+            json.kv("ts", e.seq);
+            json.key("args").beginObject();
+            json.kv("a", e.a);
+            json.kv("b", e.b);
+            json.end();
+            json.end();
         }
-        os << "\n]}\n";
+        json.end();
+        json.end();
+        os << json.str() << '\n';
     }
 
   private:

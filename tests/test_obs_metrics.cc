@@ -11,7 +11,7 @@
 
 #include "common/stats.hh"
 #include "core/runtime.hh"
-#include "obs/json_value.hh"
+#include "common/json.hh"
 #include "obs/metrics.hh"
 
 using namespace upr;
@@ -371,6 +371,28 @@ TEST(MetricsSnapshot, ToJsonRoundTripsThroughParser)
     ASSERT_NE(hj, nullptr);
     EXPECT_EQ(hj->find("count")->asUint(), 2u);
     EXPECT_EQ(hj->find("p50")->asUint(), 3u);
+}
+
+TEST(MetricsSnapshot, ToJsonEscapesGroupNames)
+{
+    const std::string name = "tg\"q\\b\nl\x01x";
+    StatGroup g(name);
+    Counter c;
+    g.registerCounter("n", c, "escape test");
+    c.add(7);
+    ScopedMetricsGroup sg(g);
+
+    const std::string text =
+        MetricsRegistry::instance().snapshot().toJson();
+    for (const char ch : text)
+        EXPECT_TRUE(static_cast<unsigned char>(ch) >= 0x20 || ch == '\n');
+    EXPECT_NE(text.find("\"tg\\\"q\\\\b\\nl\\u0001x.n\": 7"),
+              std::string::npos)
+        << text;
+    const JsonValue doc = parseJson(text);
+    const JsonValue *n = doc.find("counters")->find(name + ".n");
+    ASSERT_NE(n, nullptr);
+    EXPECT_EQ(n->asUint(), 7u);
 }
 
 // ----------------------------------------------------------------------

@@ -8,9 +8,10 @@
 #include <string>
 #include <vector>
 
-#include "obs/json_value.hh"
+#include "common/json.hh"
 #include "obs/trace_ring.hh"
 
+using namespace upr;
 using namespace upr::obs;
 
 namespace

@@ -7,6 +7,7 @@
 
 #include <cstring>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "mem/address_space.hh"
 #include "nvm/pool_check.hh"
@@ -322,4 +323,25 @@ TEST_F(PoolCheck, MidLogDamageWithLaterValidEntriesIsCorrupt)
     const CheckReport rep = checkPool(b, true);
     EXPECT_EQ(rep.status, CheckStatus::Corrupt);
     EXPECT_TRUE(rep.recovery.lostCommittedEntries);
+}
+
+TEST(PoolCheckJson, IssueTextIsEscaped)
+{
+    const std::string what = "tag \"7\" at C:\\pool\nnext\x01";
+    CheckReport rep;
+    rep.status = CheckStatus::Corrupt;
+    rep.issues.push_back(CheckIssue{"arena", what, false, false});
+    const std::string text = rep.toJson();
+
+    // Every raw control byte left is a layout newline: the one inside
+    // the issue text is written as an escape.
+    for (const char c : text)
+        EXPECT_TRUE(static_cast<unsigned char>(c) >= 0x20 || c == '\n');
+    EXPECT_NE(text.find("\"what\": \"tag \\\"7\\\" at C:\\\\pool"
+                        "\\nnext\\u0001\""),
+              std::string::npos)
+        << text;
+    const JsonValue doc = parseJson(text);
+    EXPECT_EQ(doc.find("issues")->items().at(0).find("what")->asString(),
+              what);
 }

@@ -6,6 +6,7 @@
 
 #include "common/diag.hh"
 #include "common/fault.hh"
+#include "common/json.hh"
 #include "compiler/analysis/verifier.hh"
 #include "compiler/ir_parser.hh"
 
@@ -334,4 +335,25 @@ TEST(Verifier, EngineSortsByLocation)
     EXPECT_EQ(diags.all()[1].code, "b");
     EXPECT_EQ(diags.errorCount(), 1u);
     EXPECT_EQ(diags.warningCount(), 1u);
+}
+
+TEST(DiagnosticJson, MessageIsEscaped)
+{
+    const std::string message = "say \"hi\" to C:\\ir\nthen\x01";
+    DiagnosticEngine diags;
+    diags.error("x-code", SrcLoc{3, 4}, message, "fn");
+    JsonWriter json;
+    diags.renderJson(json);
+    const std::string &text = json.str();
+
+    for (const char c : text)
+        EXPECT_TRUE(static_cast<unsigned char>(c) >= 0x20 || c == '\n');
+    EXPECT_NE(text.find("\"message\": \"say \\\"hi\\\" to C:\\\\ir"
+                        "\\nthen\\u0001\""),
+              std::string::npos)
+        << text;
+    const JsonValue doc = parseJson(text);
+    ASSERT_EQ(doc.items().size(), 1u);
+    EXPECT_EQ(doc.items()[0].find("message")->asString(), message);
+    EXPECT_EQ(doc.items()[0].find("line")->asUint(), 3u);
 }

@@ -47,6 +47,7 @@
 
 #include "common/diag.hh"
 #include "common/fault.hh"
+#include "common/json.hh"
 #include "compiler/analysis/elision.hh"
 #include "compiler/analysis/fig4_conformance.hh"
 #include "compiler/analysis/persistency.hh"
@@ -349,100 +350,82 @@ printText(const FileResult &r, const Options &opt)
 void
 printJson(const std::vector<FileResult> &results, const Options &opt)
 {
-    std::printf("[");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const FileResult &r = results[i];
-        std::printf("%s\n{\n  \"file\": \"%s\",\n",
-                    i ? "," : "", jsonEscape(r.file).c_str());
+    JsonWriter json;
+    json.beginArray();
+    for (const FileResult &r : results) {
+        json.beginObject();
+        json.kv("file", r.file);
         if (r.parseFailed) {
-            std::printf("  \"error\": \"%s\"\n}",
-                        jsonEscape(r.parseError).c_str());
+            json.kv("error", r.parseError);
+            json.end();
             continue;
         }
-        std::printf("  \"summary\": {\"sites\": %llu, "
-                    "\"provedSafe\": %llu, \"needsDynamic\": %llu, "
-                    "\"diagnosedUB\": %llu, \"totalSites\": %llu, "
-                    "\"remainingSites\": %llu, "
-                    "\"refinedSites\": %llu, "
-                    "\"elidedSites\": %llu},\n",
-                    (unsigned long long)r.report.sites.size(),
-                    (unsigned long long)r.report.provedSafe,
-                    (unsigned long long)r.report.needsDynamic,
-                    (unsigned long long)r.report.diagnosedUB,
-                    (unsigned long long)r.plan.totalSites,
-                    (unsigned long long)r.plan.remainingSites,
-                    (unsigned long long)r.plan.refinedSites,
-                    (unsigned long long)r.plan.elidedSites);
+        json.key("summary").beginObject(JsonWriter::Inline);
+        json.kv("sites", r.report.sites.size());
+        json.kv("provedSafe", r.report.provedSafe);
+        json.kv("needsDynamic", r.report.needsDynamic);
+        json.kv("diagnosedUB", r.report.diagnosedUB);
+        json.kv("totalSites", r.plan.totalSites);
+        json.kv("remainingSites", r.plan.remainingSites);
+        json.kv("refinedSites", r.plan.refinedSites);
+        json.kv("elidedSites", r.plan.elidedSites);
+        json.end();
         if (r.persistencyRan) {
-            std::printf(
-                "  \"persistency\": {\"txStores\": %llu, "
-                "\"persistencyDiags\": %llu, \"logElided\": %llu, "
-                "\"elidedFresh\": %llu, \"elidedDominated\": "
-                "%llu},\n",
-                (unsigned long long)r.persistency.txStores,
-                (unsigned long long)r.persistency.findingCount(),
-                (unsigned long long)r.persistency.logElided,
-                (unsigned long long)r.persistency.elidedFresh,
-                (unsigned long long)r.persistency.elidedDominated);
+            json.key("persistency").beginObject(JsonWriter::Inline);
+            json.kv("txStores", r.persistency.txStores);
+            json.kv("persistencyDiags", r.persistency.findingCount());
+            json.kv("logElided", r.persistency.logElided);
+            json.kv("elidedFresh", r.persistency.elidedFresh);
+            json.kv("elidedDominated", r.persistency.elidedDominated);
+            json.end();
         }
-        std::printf("  \"siteRecords\": [");
-        for (std::size_t s = 0; s < r.siteRecords.size(); ++s) {
-            const SiteRecord &sr = r.siteRecords[s];
-            std::printf("%s\n    {\"id\": \"%s\", \"line\": %d, "
-                        "\"col\": %d, \"role\": \"%s\", "
-                        "\"status\": \"%s\", \"proof\": \"%s\"",
-                        s ? "," : "", jsonEscape(sr.id).c_str(),
-                        sr.line, sr.col,
-                        jsonEscape(sr.role).c_str(),
-                        jsonEscape(sr.status).c_str(),
-                        jsonEscape(sr.proof).c_str());
-            if (!sr.logMode.empty()) {
-                std::printf(", \"logMode\": \"%s\"",
-                            jsonEscape(sr.logMode).c_str());
-            }
-            std::printf("}");
+        json.key("siteRecords").beginArray();
+        for (const SiteRecord &sr : r.siteRecords) {
+            json.beginObject(JsonWriter::Inline);
+            json.kv("id", sr.id);
+            json.kv("line", sr.line);
+            json.kv("col", sr.col);
+            json.kv("role", sr.role);
+            json.kv("status", sr.status);
+            json.kv("proof", sr.proof);
+            if (!sr.logMode.empty())
+                json.kv("logMode", sr.logMode);
+            json.end();
         }
-        std::printf("%s],\n", r.siteRecords.empty() ? "" : "\n  ");
-        std::printf("  \"diagnostics\": %s",
-                    r.diags.renderJson().c_str());
+        json.end();
+        json.key("diagnostics");
+        r.diags.renderJson(json);
         if (opt.reportElision) {
-            std::printf(",\n  \"elision\": {\"elided\": %llu, "
-                        "\"proofs\": [",
-                        (unsigned long long)r.elision.elidedSites);
-            for (std::size_t p = 0; p < r.elision.proofs.size();
-                 ++p) {
-                const ElisionProof &pr = r.elision.proofs[p];
-                std::printf("%s\n    {\"function\": \"%s\", "
-                            "\"line\": %d, \"col\": %d, "
-                            "\"role\": \"%s\", \"reason\": \"%s\"}",
-                            p ? "," : "",
-                            jsonEscape(pr.function).c_str(),
-                            pr.loc.line, pr.loc.col,
-                            jsonEscape(pr.role).c_str(),
-                            jsonEscape(pr.reason).c_str());
+            json.key("elision").beginObject();
+            json.kv("elided", r.elision.elidedSites);
+            json.key("proofs").beginArray();
+            for (const ElisionProof &pr : r.elision.proofs) {
+                json.beginObject(JsonWriter::Inline);
+                json.kv("function", pr.function);
+                json.kv("line", pr.loc.line);
+                json.kv("col", pr.loc.col);
+                json.kv("role", pr.role);
+                json.kv("reason", pr.reason);
+                json.end();
             }
-            std::printf("%s]",
-                        r.elision.proofs.empty() ? "" : "\n  ");
+            json.end();
             if (r.validated) {
-                if (opt.execTierSet) {
-                    std::printf(",\n  \"execTier\": \"%s\"",
-                                execTierName(opt.execTier));
-                }
-                std::printf(
-                    ",\n  \"validation\": {\"bitIdentical\": %s, "
-                    "\"resultBefore\": %llu, \"resultAfter\": %llu, "
-                    "\"checksBefore\": %llu, \"checksAfter\": %llu}",
-                    r.validation.bitIdentical ? "true" : "false",
-                    (unsigned long long)r.validation.resultBefore,
-                    (unsigned long long)r.validation.resultAfter,
-                    (unsigned long long)r.validation.checksBefore,
-                    (unsigned long long)r.validation.checksAfter);
+                if (opt.execTierSet)
+                    json.kv("execTier", execTierName(opt.execTier));
+                json.key("validation").beginObject(JsonWriter::Inline);
+                json.kv("bitIdentical", r.validation.bitIdentical);
+                json.kv("resultBefore", r.validation.resultBefore);
+                json.kv("resultAfter", r.validation.resultAfter);
+                json.kv("checksBefore", r.validation.checksBefore);
+                json.kv("checksAfter", r.validation.checksAfter);
+                json.end();
             }
-            std::printf("}");
+            json.end();
         }
-        std::printf("\n}");
+        json.end();
     }
-    std::printf("\n]\n");
+    json.end();
+    std::printf("%s\n", json.str().c_str());
 }
 
 } // namespace

@@ -25,9 +25,9 @@
 #include <string>
 #include <vector>
 
-#include "obs/json_value.hh"
+#include "common/json.hh"
 
-using upr::obs::JsonValue;
+using upr::JsonValue;
 
 namespace
 {
@@ -239,8 +239,8 @@ main(int argc, char **argv)
             return 2;
         }
         try {
-            docs.push_back(upr::obs::parseJson(text));
-        } catch (const upr::obs::JsonParseError &e) {
+            docs.push_back(upr::parseJson(text));
+        } catch (const upr::JsonParseError &e) {
             std::fprintf(stderr, "uprstat: %s: %s\n", path.c_str(),
                          e.what());
             return 2;
