@@ -15,7 +15,10 @@
 #      is excluded there — it has no cross-thread races to find and
 #      TSan multiplies its wall time);
 #   3. clang-tidy over the compiler subsystem, if available;
-#   4. observability overhead gate: with event tracing compiled in,
+#   4. bench goldens, and perfbench's traced-run oracles (live cycles
+#      equal replayTrace, traced counters equal untraced ones) on the
+#      arch timing model;
+#   5. observability overhead gate: with event tracing compiled in,
 #      a traced run and an untraced run of the quick bench must agree
 #      on every simulated counter (tracing observes the model, never
 #      perturbs it) and stay within 2% wall of each other.
@@ -90,6 +93,17 @@ build/bench/bench_harness concurrent --out "$CONC_OUT" > /dev/null
 python3 scripts/bench_diff.py --wall-threshold 100000 \
     BENCH_concurrent.json "$CONC_OUT/BENCH_concurrent.json"
 rm -rf "$CONC_OUT"
+
+echo "==> tier 4p: perfbench oracles on the arch timing model"
+# A traced run checks, for every cell, that live cycles equal a
+# replayTrace of the recorded events and that traced counters equal
+# the untraced run's; either run exits non-zero on a mismatch. Then
+# perfbench's planted-error self-test.
+for w in paper_grid kv_durable; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 \
+        --trace 1 > /dev/null
+done
+ctest --test-dir .bench_build --output-on-failure
 
 echo "==> tier 5: observability overhead gate"
 GATE_OUT=$(mktemp -d)

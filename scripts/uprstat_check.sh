@@ -1,8 +1,8 @@
 #!/bin/sh
 # uprstat contract checks: canonical-JSON round-trip stability and
 # strict validity, pretty printing of both accepted document shapes,
-# and diff semantics (identical -> exit 0, any changed entry -> exit 1
-# and a delta row).
+# rejection of a malformed number, and diff semantics (identical ->
+# exit 0, any changed entry -> exit 1 and a delta row).
 #
 #   uprstat_check.sh <path-to-uprstat> <path-to-bench_harness>
 set -u
@@ -86,6 +86,15 @@ fi
 "$UPRSTAT" --json snap.json > rt1.json || fail=1
 if ! grep -q 18446744073709551615 rt1.json; then
     echo "FAIL: uint64 max corrupted by round trip" >&2
+    fail=1
+fi
+
+# A malformed number token is a parse error (exit 2), never echoed
+# back: RFC 8259 has no "1-2".
+echo '{"counters": {"a": 1-2}, "histograms": {}}' > badnum.json
+"$UPRSTAT" --json badnum.json > rt1.json 2> /dev/null
+if [ $? -ne 2 ]; then
+    echo "FAIL: malformed number 1-2 should be rejected with exit 2" >&2
     fail=1
 fi
 

@@ -54,18 +54,16 @@ class BranchPredictor
         const std::size_t idx =
             static_cast<std::size_t>((site ^ history_) & tableMask_);
         std::uint8_t &ctr = table_[idx];
-        const bool predicted_taken = ctr >= 2;
+        const unsigned c = ctr;
+        const unsigned t = taken;
+        // Saturating 2-bit update without a data-dependent branch:
+        // taken counts up unless at 3, not-taken down unless at 0.
+        ctr = static_cast<std::uint8_t>(c + (t & (c < 3)) -
+                                        ((t ^ 1) & (c > 0)));
+        history_ = ((history_ << 1) | t) & historyMask_;
 
-        if (taken && ctr < 3)
-            ++ctr;
-        else if (!taken && ctr > 0)
-            --ctr;
-
-        history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
-
-        const bool wrong = predicted_taken != taken;
-        if (wrong)
-            ++mispredicts_;
+        const bool wrong = (c >> 1) != t;
+        mispredicts_ += wrong;
         return wrong;
     }
 

@@ -37,7 +37,7 @@ class Cache
           array_(sets_, ways),
           stats_(name)
     {
-        upr_assert(isPow2(line_bytes));
+        upr_assert(isPow2(line_bytes) && line_bytes > 1);
         upr_assert_msg(isPow2(sets_), "cache '%s': set count not pow2",
                        name.c_str());
         stats_.registerCounter("hits", hits_, "cache hits");
@@ -45,6 +45,10 @@ class Cache
         stats_.registerCounter("writebacks", writebacks_,
                                "dirty evictions");
     }
+
+    // memo_ points into array_.
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
 
     /**
      * Access one line.
@@ -56,21 +60,29 @@ class Cache
     access(SimAddr addr, bool is_write)
     {
         const std::uint64_t line = addr >> lineShift_;
+        // Same-line memo: the previous access's entry already holds
+        // the array's newest LRU stamp, and only the order of stamps
+        // is ever compared, so a repeat skips the scan and re-stamp.
+        if (line == memoLine_) {
+            memo_->dirty |= is_write;
+            ++hits_;
+            return true;
+        }
         const std::uint32_t set =
             static_cast<std::uint32_t>(line & (sets_ - 1));
         const std::uint64_t tag = line >> tagShift_;
+        memoLine_ = line;
 
         if (LineState *st = array_.lookup(set, tag)) {
             st->dirty |= is_write;
+            memo_ = st;
             ++hits_;
             return true;
         }
         ++misses_;
         LineState victim;
-        if (array_.insert(set, tag, LineState{is_write}, &victim) &&
-            victim.dirty) {
-            ++writebacks_;
-        }
+        memo_ = array_.insert(set, tag, LineState{is_write}, &victim).slot;
+        writebacks_ += victim.dirty;
         return false;
     }
 
@@ -81,7 +93,12 @@ class Cache
     }
 
     /** Drop all lines. */
-    void flush() { array_.invalidateAll(); }
+    void
+    flush()
+    {
+        array_.invalidateAll();
+        memoLine_ = kNoLine;
+    }
 
     /** Zero the counters (contents stay warm). */
     void resetStats() { stats_.resetAll(); }
@@ -96,11 +113,18 @@ class Cache
         bool dirty = false;
     };
 
+    /** No line number has every bit set (lines are at least 2 B). */
+    static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
+
     Bytes lineBytes_;
     unsigned lineShift_;
     std::uint32_t sets_;
     unsigned tagShift_;
     SetAssocArray<std::uint64_t, LineState> array_;
+    /** Line of the previous access (kNoLine after a flush)... */
+    std::uint64_t memoLine_ = kNoLine;
+    /** ...and its entry in array_. */
+    LineState *memo_ = nullptr;
 
     StatGroup stats_;
     Counter hits_;

@@ -144,8 +144,10 @@ class Machine
                             std::uint64_t(taken)});
         }
         const bool wrong = bpred_.branch(site, taken);
-        // One cycle for the branch itself, plus penalty on a miss.
-        now_ += 1 + (wrong ? params_.branchMissPenalty : 0);
+        // One cycle for the branch itself, plus penalty on a miss
+        // (selected by mask: the host would mispredict as often as
+        // the simulated predictor does).
+        now_ += 1 + (params_.branchMissPenalty & (Cycles{0} - wrong));
         return wrong;
     }
 

@@ -43,6 +43,10 @@ class Polb
         stats_.registerCounter("walks", walks_, "POW walks on miss");
     }
 
+    // memo_ points into array_.
+    Polb(const Polb &) = delete;
+    Polb &operator=(const Polb &) = delete;
+
     /**
      * Translate relative (pool, offset) to a virtual address.
      * Faults from the walker (detached pool, bad pool ID, offset out
@@ -53,7 +57,12 @@ class Polb
     {
         syncEpoch();
         ++accesses_;
-        if (PoolBase *e = array_.lookup(0, id)) {
+        // Same-pool memo, exact for the reason Cache::access gives.
+        // memo_ is null only while the array is empty.
+        PoolBase *e = id == memoId_ ? memo_ : array_.lookup(0, id);
+        if (e) {
+            memoId_ = id;
+            memo_ = e;
             // A POLB hit still bounds-checks the offset against the
             // cached pool size so out-of-pool offsets fault the same
             // way on the hit and miss paths.
@@ -66,12 +75,20 @@ class Polb
         }
         ++walks_;
         const SimAddr va = manager_.ra2va(id, off);
-        array_.insert(0, id, PoolBase{va - off, manager_.pool(id).size()});
+        memoId_ = id;
+        memo_ = array_.insert(0, id,
+                              PoolBase{va - off, manager_.pool(id).size()})
+                    .slot;
         return {va, params_.polbHitLatency + params_.powLatency, false};
     }
 
     /** Drop all entries. */
-    void invalidateAll() { array_.invalidateAll(); }
+    void
+    invalidateAll()
+    {
+        array_.invalidateAll();
+        memo_ = nullptr;
+    }
 
     /** Zero the counters (entries stay warm). */
     void resetStats() { stats_.resetAll(); }
@@ -85,7 +102,7 @@ class Polb
     syncEpoch()
     {
         if (epoch_ != manager_.epoch()) {
-            array_.invalidateAll();
+            invalidateAll();
             epoch_ = manager_.epoch();
         }
     }
@@ -100,6 +117,9 @@ class Polb
     const MachineParams &params_;
     const PoolManager &manager_;
     SetAssocArray<PoolId, PoolBase> array_;
+    /** Pool of the previous translation and its entry (null if none). */
+    PoolId memoId_ = 0;
+    PoolBase *memo_ = nullptr;
     std::uint64_t epoch_ = ~0ULL;
 
     StatGroup stats_;

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/bits.hh"
@@ -22,26 +23,32 @@ namespace upr
 {
 
 /**
- * @tparam Tag lookup key within a set
+ * @tparam Tag lookup key within a set (an unsigned integer type)
  * @tparam Payload per-entry data (use a tiny struct or std::monostate)
  *
  * Storage is struct-of-arrays: a lookup is a probe of every simulated
  * memory access (TLB and three cache levels each scan one set), so the
- * tag scan walks a dense Tag array instead of striding over full
- * entries, and the LRU stamps and payloads are only touched on a hit.
+ * scan walks a dense array of 64-bit keys instead of striding over
+ * full entries; LRU stamps and payloads are only touched on a hit or
+ * fill. The valid bit is folded into both: an invalid way holds key
+ * kEmpty (all ones: the 64-bit tags in use are shifted addresses, so
+ * never that; probes and fills assert it) and stamp 0, below every
+ * stamp a fill or hit assigns.
  */
 template <typename Tag, typename Payload>
 class SetAssocArray
 {
+    static_assert(std::is_unsigned_v<Tag> && sizeof(Tag) <= 8,
+                  "tags are unsigned integers of at most 64 bits");
+
   public:
     /**
      * @param sets number of sets (power of two)
      * @param ways associativity
      */
     SetAssocArray(std::uint32_t sets, std::uint32_t ways)
-        : sets_(sets), ways_(ways), valid_(sets * ways, 0),
-          tags_(sets * ways), payloads_(sets * ways),
-          lastUse_(sets * ways, 0)
+        : sets_(sets), ways_(ways), keys_(sets * ways, kEmpty),
+          payloads_(sets * ways), lastUse_(sets * ways, 0)
     {
         // Non-power-of-two set counts are allowed (e.g. the 384-set
         // L2 TLB); callers index with modulo in that case.
@@ -61,22 +68,9 @@ class SetAssocArray
     Payload *
     lookup(std::uint32_t set_index, Tag tag)
     {
-        // MRU memo: consecutive lookups overwhelmingly repeat the
-        // previous (set, tag) — same cache line, same page, same pool.
-        // The slot is re-verified (valid bit and tag), so eviction or
-        // invalidation since the last hit just falls through to the
-        // scan; the memo can never return a stale entry.
-        const std::size_t m = mru_;
-        if (m != kMiss && mruSet_ == set_index && valid_[m] &&
-            tags_[m] == tag) {
-            lastUse_[m] = ++clock_;
-            return &payloads_[m];
-        }
         const std::size_t i = findEntry(set_index, tag);
         if (i == kMiss)
             return nullptr;
-        mru_ = i;
-        mruSet_ = set_index;
         lastUse_[i] = ++clock_;
         return &payloads_[i];
     }
@@ -89,37 +83,44 @@ class SetAssocArray
         return i == kMiss ? nullptr : &payloads_[i];
     }
 
+    /** Where insert() put an entry. */
+    struct Fill
+    {
+        Payload *slot; //!< the filled entry's payload
+        bool evicted;  //!< a valid entry was displaced
+    };
+
     /**
      * Insert @p tag with @p payload into set @p set_index, evicting
      * the LRU way if the set is full.
      *
+     * The victim is the first way with the smallest stamp: the first
+     * invalid way if there is one (stamp 0), else the least recently
+     * used way. The pass over the ways does not branch on their data.
+     *
      * @param evicted_out if non-null, receives the evicted payload
-     * @return true if a valid entry was evicted
      */
-    bool
+    Fill
     insert(std::uint32_t set_index, Tag tag, Payload payload,
            Payload *evicted_out = nullptr)
     {
         upr_assert(set_index < sets_);
+        upr_assert(std::uint64_t{tag} != kEmpty);
         const std::size_t base = std::size_t{set_index} * ways_;
-        std::size_t victim = kMiss;
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            const std::size_t i = base + w;
-            if (!valid_[i]) {
-                victim = i;
-                break;
-            }
-            if (victim == kMiss || lastUse_[i] < lastUse_[victim])
-                victim = i;
+        std::size_t victim = base;
+        std::uint64_t oldest = lastUse_[base];
+        for (std::size_t i = base + 1; i < base + ways_; ++i) {
+            const bool older = lastUse_[i] < oldest;
+            victim = older ? i : victim;
+            oldest = older ? lastUse_[i] : oldest;
         }
-        const bool evicted = valid_[victim] != 0;
+        const bool evicted = oldest != 0;
         if (evicted && evicted_out)
             *evicted_out = payloads_[victim];
-        valid_[victim] = 1;
-        tags_[victim] = tag;
+        keys_[victim] = tag;
         payloads_[victim] = payload;
         lastUse_[victim] = ++clock_;
-        return evicted;
+        return {&payloads_[victim], evicted};
     }
 
     /** Invalidate a single entry if present. */
@@ -127,15 +128,18 @@ class SetAssocArray
     invalidate(std::uint32_t set_index, Tag tag)
     {
         const std::size_t i = findEntry(set_index, tag);
-        if (i != kMiss)
-            valid_[i] = 0;
+        if (i != kMiss) {
+            keys_[i] = kEmpty;
+            lastUse_[i] = 0;
+        }
     }
 
     /** Invalidate everything (epoch change / shootdown). */
     void
     invalidateAll()
     {
-        std::fill(valid_.begin(), valid_.end(), std::uint8_t{0});
+        std::fill(keys_.begin(), keys_.end(), kEmpty);
+        std::fill(lastUse_.begin(), lastUse_.end(), std::uint64_t{0});
     }
 
     /** Visit every valid entry: cb(set, tag, payload). */
@@ -146,8 +150,8 @@ class SetAssocArray
         for (std::uint32_t s = 0; s < sets_; ++s) {
             for (std::uint32_t w = 0; w < ways_; ++w) {
                 const std::size_t i = std::size_t{s} * ways_ + w;
-                if (valid_[i])
-                    cb(s, tags_[i], payloads_[i]);
+                if (keys_[i] != kEmpty)
+                    cb(s, static_cast<Tag>(keys_[i]), payloads_[i]);
             }
         }
     }
@@ -157,38 +161,43 @@ class SetAssocArray
     validCount() const
     {
         std::uint32_t n = 0;
-        for (const std::uint8_t v : valid_)
-            n += v ? 1 : 0;
+        for (const std::uint64_t key : keys_)
+            n += key != kEmpty;
         return n;
     }
 
   private:
     static constexpr std::size_t kMiss = ~std::size_t{0};
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
+    /**
+     * Index of the valid way holding @p tag, or kMiss. A fixed pass
+     * over every way that selects the match by a conditional move, not
+     * an early exit: each probe sits on the simulated memory path, and
+     * where the match lies is data the host cannot predict. Ways are
+     * visited last to first so the first match wins.
+     */
     std::size_t
     findEntry(std::uint32_t set_index, Tag tag) const
     {
         upr_assert(set_index < sets_);
+        const std::uint64_t key = tag;
+        upr_assert(key != kEmpty);
         const std::size_t base = std::size_t{set_index} * ways_;
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            const std::size_t i = base + w;
-            if (valid_[i] && tags_[i] == tag)
-                return i;
-        }
-        return kMiss;
+        std::size_t hit = kMiss;
+        for (std::size_t i = base + ways_; i-- > base;)
+            hit = keys_[i] == key ? i : hit;
+        return hit;
     }
 
     std::uint32_t sets_;
     std::uint32_t ways_;
-    std::vector<std::uint8_t> valid_;
-    std::vector<Tag> tags_;
+    /** The tag held by each way, or kEmpty. */
+    std::vector<std::uint64_t> keys_;
     std::vector<Payload> payloads_;
+    /** LRU stamp per way; 0 for an invalid way. */
     std::vector<std::uint64_t> lastUse_;
     std::uint64_t clock_ = 0;
-    /** Entry index of the last lookup hit (kMiss = none yet). */
-    std::size_t mru_ = kMiss;
-    /** Set the MRU entry belongs to (guards against index reuse). */
-    std::uint32_t mruSet_ = 0;
 };
 
 } // namespace upr

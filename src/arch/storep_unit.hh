@@ -56,9 +56,16 @@ class StorePUnit
         ++issued_;
 
         // Find a free entry; if all are busy, stall to the earliest
-        // completion time.
-        auto it = std::min_element(completions_.begin(),
-                                   completions_.end());
+        // completion time. The first earliest entry is picked by a
+        // pass that does not branch on the completion times.
+        std::size_t first = 0;
+        Cycles earliest = completions_[0];
+        for (std::size_t i = 1; i < completions_.size(); ++i) {
+            const bool earlier = completions_[i] < earliest;
+            first = earlier ? i : first;
+            earliest = earlier ? completions_[i] : earliest;
+        }
+        Cycles *const it = &completions_[first];
         Cycles stall = 0;
         if (*it > now) {
             stall = *it - now;

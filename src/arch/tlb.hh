@@ -37,6 +37,12 @@ class Tlb
     access(SimAddr va)
     {
         const std::uint64_t vpn = va / Layout::kPageSize;
+        // Same-page memo, exact for the reason Cache::access gives.
+        if (vpn == memoVpn_) {
+            ++hits_;
+            return true;
+        }
+        memoVpn_ = vpn;
         // Modulo indexing with the full VPN as tag supports the
         // non-power-of-two set counts real TLBs use (384-set STLB);
         // power-of-two set counts (the L1 dTLB, probed every access)
@@ -54,7 +60,12 @@ class Tlb
     }
 
     /** Drop all translations (context switch / shootdown). */
-    void flush() { array_.invalidateAll(); }
+    void
+    flush()
+    {
+        array_.invalidateAll();
+        memoVpn_ = kNoVpn;
+    }
 
     /** Zero the counters. */
     void resetStats() { stats_.resetAll(); }
@@ -65,10 +76,15 @@ class Tlb
   private:
     struct Empty {};
 
+    /** No VPN has every bit set (pages are 4 KiB). */
+    static constexpr std::uint64_t kNoVpn = ~std::uint64_t{0};
+
     std::uint32_t sets_;
     /** sets_ - 1 when sets_ is a power of two, else 0 (use modulo). */
     std::uint32_t setMask_;
     SetAssocArray<std::uint64_t, Empty> array_;
+    /** VPN of the previous access (kNoVpn after a flush). */
+    std::uint64_t memoVpn_ = kNoVpn;
     StatGroup stats_;
     Counter hits_;
     Counter misses_;

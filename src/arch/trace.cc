@@ -109,8 +109,8 @@ replayTrace(const Trace &trace, const MachineParams &params)
           case TraceEvent::Kind::Branch: {
             ++res.branches;
             const bool wrong = bpred.branch(e.a, e.b != 0);
-            now += 1 + (wrong ? params.branchMissPenalty : 0);
-            res.branchMisses += wrong ? 1 : 0;
+            now += 1 + (params.branchMissPenalty & (Cycles{0} - wrong));
+            res.branchMisses += wrong;
             break;
           }
           case TraceEvent::Kind::Tick:

@@ -23,9 +23,9 @@
  * BENCH_*.json carries exact 64-bit counters that a round trip
  * through double would corrupt above 2^53; object members keep their
  * order. So parse -> dump -> parse is byte-stable on dump's output
- * (the uprstat round-trip check). The reader resolves \u escapes of
- * code points up to 0xFF only (the writer emits \u00XX) and has no
- * duplicate-key policy.
+ * (the uprstat round-trip check). Number tokens must follow the RFC
+ * 8259 grammar; \u escapes, surrogate pairs included, decode to UTF-8.
+ * The reader has no duplicate-key policy.
  *
  * Header-only and free of other upr headers: obs/trace_ring.hh (which
  * common/fault.hh includes) and uprstat, which links nothing, use it.
@@ -606,45 +606,107 @@ class JsonParser
               case 'r':  out += '\r'; break;
               case 'b':  out += '\b'; break;
               case 'f':  out += '\f'; break;
-              case 'u': {
-                // \u00XX decodes to one byte; wider code points are
-                // outside what the writer emits.
-                if (pos_ + 4 > src_.size())
-                    fail("truncated \\u escape");
-                const std::string hex = src_.substr(pos_, 4);
-                pos_ += 4;
-                const unsigned long cp =
-                    std::strtoul(hex.c_str(), nullptr, 16);
-                if (cp > 0xFF)
-                    fail("unsupported \\u escape");
-                out += static_cast<char>(cp);
-                break;
-              }
+              case 'u':  appendUtf8(out, parseEscapedCodePoint()); break;
               default:
                 fail("bad escape");
             }
         }
     }
 
+    /** Four hex digits of a \u escape. */
+    std::uint32_t
+    parseHex4()
+    {
+        if (pos_ + 4 > src_.size())
+            fail("truncated \\u escape");
+        std::uint32_t v = 0;
+        for (int k = 0; k < 4; ++k) {
+            const char c = src_[pos_];
+            std::uint32_t d;
+            if (c >= '0' && c <= '9')
+                d = c - '0';
+            else if (c >= 'a' && c <= 'f')
+                d = c - 'a' + 10;
+            else if (c >= 'A' && c <= 'F')
+                d = c - 'A' + 10;
+            else
+                fail("bad hex digit in \\u escape");
+            v = v << 4 | d;
+            ++pos_;
+        }
+        return v;
+    }
+
+    /** The code point of a \u escape (its "\u" already consumed),
+     *  joining a surrogate pair; a lone surrogate is an error. */
+    std::uint32_t
+    parseEscapedCodePoint()
+    {
+        const std::uint32_t hi = parseHex4();
+        if (hi >= 0xDC00 && hi <= 0xDFFF)
+            fail("unpaired low surrogate");
+        if (hi < 0xD800 || hi > 0xDBFF)
+            return hi;
+        if (src_.compare(pos_, 2, "\\u") != 0)
+            fail("unpaired high surrogate");
+        pos_ += 2;
+        const std::uint32_t lo = parseHex4();
+        if (lo < 0xDC00 || lo > 0xDFFF)
+            fail("unpaired high surrogate");
+        return 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+    }
+
+    static void
+    appendUtf8(std::string &out, std::uint32_t cp)
+    {
+        if (cp < 0x80) {
+            out += static_cast<char>(cp);
+            return;
+        }
+        // Lead byte, then continuation bytes of six bits each.
+        const int extra = cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+        static constexpr unsigned char kLead[] = {0, 0xC0, 0xE0, 0xF0};
+        out += static_cast<char>(kLead[extra] | cp >> (6 * extra));
+        for (int k = extra - 1; k >= 0; --k)
+            out += static_cast<char>(0x80 | ((cp >> (6 * k)) & 0x3F));
+    }
+
+    bool
+    accept(char c)
+    {
+        if (pos_ >= src_.size() || src_[pos_] != c)
+            return false;
+        ++pos_;
+        return true;
+    }
+
+    /** Consume a run of digits; false if there was none. */
+    bool
+    digits()
+    {
+        const std::size_t start = pos_;
+        while (pos_ < src_.size() &&
+               std::isdigit(static_cast<unsigned char>(src_[pos_])))
+            ++pos_;
+        return pos_ > start;
+    }
+
+    /** RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)? */
     JsonValue
     parseNumber()
     {
         const std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        bool digits = false;
-        while (pos_ < src_.size() &&
-               (std::isdigit(static_cast<unsigned char>(src_[pos_])) ||
-                src_[pos_] == '.' || src_[pos_] == 'e' ||
-                src_[pos_] == 'E' || src_[pos_] == '+' ||
-                src_[pos_] == '-')) {
-            digits = digits ||
-                     std::isdigit(static_cast<unsigned char>(
-                         src_[pos_]));
-            ++pos_;
-        }
-        if (!digits)
+        accept('-');
+        if (!accept('0') && !digits())
             fail("bad number");
+        if (accept('.') && !digits())
+            fail("bad number: no digit after '.'");
+        if (accept('e') || accept('E')) {
+            if (!accept('+'))
+                accept('-');
+            if (!digits())
+                fail("bad number: no digit in exponent");
+        }
         return JsonValue::makeNumber(src_.substr(start, pos_ - start));
     }
 

@@ -1,6 +1,7 @@
 /** @file Unit tests for common/json.hh: JsonWriter comma placement,
  * nesting, Block/Inline layout, empty containers, raw and 64-bit
- * numbers, the escape policy, and the parse -> dump round trip. */
+ * numbers, the escape policy, the parse -> dump round trip, and the
+ * reader's number grammar and \u decoding. */
 
 #include <gtest/gtest.h>
 
@@ -176,5 +177,60 @@ TEST(JsonValue, ParserRejectsMalformedInput)
     EXPECT_THROW(parseJson("[1 2]"), JsonParseError);
     EXPECT_THROW(parseJson("\"unterminated"), JsonParseError);
     EXPECT_THROW(parseJson("{} {}"), JsonParseError);
-    EXPECT_THROW(parseJson("\"\\u0100\""), JsonParseError);
+    EXPECT_THROW(parseJson("\"\\u01\""), JsonParseError);
+}
+
+TEST(JsonValue, NumbersFollowTheRfc8259Grammar)
+{
+    for (const char *ok : {"0", "-0", "7", "-12", "10", "0.5", "-3.25",
+                           "1e5", "1E+5", "2.5e-3",
+                           "18446744073709551615"}) {
+        const JsonValue v = parseJson(ok);
+        EXPECT_EQ(v.raw(), ok);
+    }
+    for (const char *bad : {"1-2", "1+2", "01", "-01", "+1", "-", ".5",
+                            "1.", "1.e3", "1e", "1e+", "--1", "1..2",
+                            "1e5e5", "0x10", "Infinity", "NaN"}) {
+        EXPECT_THROW(parseJson(bad), JsonParseError) << bad;
+    }
+    // The token ends where the grammar does; the rest is not a number.
+    EXPECT_THROW(parseJson("{\"a\": 1-2}"), JsonParseError);
+    EXPECT_THROW(parseJson("[1.5.5]"), JsonParseError);
+}
+
+TEST(JsonValue, UnicodeEscapesDecodeToUtf8)
+{
+    EXPECT_EQ(parseJson("\"\\u0041\"").asString(), "A");
+    EXPECT_EQ(parseJson("\"\\u00e9\"").asString(), "\xc3\xa9");
+    EXPECT_EQ(parseJson("\"\\u00E9\"").asString(), "\xc3\xa9");
+    EXPECT_EQ(parseJson("\"\\u07ff\"").asString(), "\xdf\xbf");
+    EXPECT_EQ(parseJson("\"\\u0100\"").asString(), "\xc4\x80");
+    EXPECT_EQ(parseJson("\"\\u20ac\"").asString(), "\xe2\x82\xac");
+    EXPECT_EQ(parseJson("\"\\uffff\"").asString(), "\xef\xbf\xbf");
+    // Surrogate pairs join into one supplementary code point.
+    EXPECT_EQ(parseJson("\"\\ud83d\\ude00\"").asString(),
+              "\xf0\x9f\x98\x80");
+    EXPECT_EQ(parseJson("\"\\uDBFF\\uDFFF\"").asString(),
+              "\xf4\x8f\xbf\xbf");
+    // Decoded text passes through the writer unchanged.
+    const JsonValue v = parseJson("\"x\\u00e9\\ud83d\\ude00\"");
+    EXPECT_EQ(parseJson(v.dump()).asString(), v.asString());
+}
+
+TEST(JsonValue, MalformedUnicodeEscapesAreRejected)
+{
+    for (const char *bad : {
+             "\"\\u12\"",          // too few digits before the quote
+             "\"\\u00g1\"",        // not a hex digit
+             "\"\\u 0a1\"",        // strtoul would skip the space
+             "\"\\u+0a1\"",        // ... and take the sign
+             "\"\\u0x41\"",        // ... and the 0x prefix
+             "\"\\ud800\"",        // high surrogate alone
+             "\"\\ud800x\"",       // high surrogate, then text
+             "\"\\ud800\\u0041\"",  // high surrogate, then no low one
+             "\"\\ud800\\ud800\"",  // two high surrogates
+             "\"\\udc00\"",        // low surrogate alone
+         }) {
+        EXPECT_THROW(parseJson(bad), JsonParseError) << bad;
+    }
 }

@@ -33,7 +33,7 @@ TEST(SetAssoc, LruEvictionOrder)
     // Touch tag 1 so tag 2 becomes LRU.
     EXPECT_NE(arr.lookup(0, 1), nullptr);
     int evicted = 0;
-    EXPECT_TRUE(arr.insert(0, 3, 3, &evicted));
+    EXPECT_TRUE(arr.insert(0, 3, 3, &evicted).evicted);
     EXPECT_EQ(evicted, 2);
     EXPECT_NE(arr.lookup(0, 1), nullptr);
     EXPECT_EQ(arr.lookup(0, 2), nullptr);
@@ -43,11 +43,11 @@ TEST(SetAssoc, LruEvictionOrder)
 TEST(SetAssoc, InsertIntoFreeWayDoesNotEvict)
 {
     SetAssocArray<std::uint64_t, int> arr(1, 4);
-    EXPECT_FALSE(arr.insert(0, 1, 1));
-    EXPECT_FALSE(arr.insert(0, 2, 2));
-    EXPECT_FALSE(arr.insert(0, 3, 3));
-    EXPECT_FALSE(arr.insert(0, 4, 4));
-    EXPECT_TRUE(arr.insert(0, 5, 5));
+    EXPECT_FALSE(arr.insert(0, 1, 1).evicted);
+    EXPECT_FALSE(arr.insert(0, 2, 2).evicted);
+    EXPECT_FALSE(arr.insert(0, 3, 3).evicted);
+    EXPECT_FALSE(arr.insert(0, 4, 4).evicted);
+    EXPECT_TRUE(arr.insert(0, 5, 5).evicted);
     EXPECT_EQ(arr.validCount(), 4u);
 }
 
