@@ -17,7 +17,8 @@
 #   3. clang-tidy over the compiler subsystem, if available;
 #   4. bench goldens, and perfbench's traced-run oracles (live cycles
 #      equal replayTrace, traced counters equal untraced ones) on the
-#      arch timing model;
+#      arch timing model, plus crash_sweep's recover-and-validate
+#      oracle over the undo log's crash images;
 #   5. observability overhead gate: with event tracing compiled in,
 #      a traced run and an untraced run of the quick bench must agree
 #      on every simulated counter (tracing observes the model, never
@@ -94,12 +95,14 @@ python3 scripts/bench_diff.py --wall-threshold 100000 \
     BENCH_concurrent.json "$CONC_OUT/BENCH_concurrent.json"
 rm -rf "$CONC_OUT"
 
-echo "==> tier 4p: perfbench oracles on the arch timing model"
+echo "==> tier 4p: perfbench oracles: arch timing model and crash recovery"
 # A traced run checks, for every cell, that live cycles equal a
 # replayTrace of the recorded events and that traced counters equal
-# the untraced run's; either run exits non-zero on a mismatch. Then
-# perfbench's planted-error self-test.
-for w in paper_grid kv_durable; do
+# the untraced run's; either run exits non-zero on a mismatch.
+# crash_sweep's oracle also recovers and validates every crash image
+# the undo append path leaves. Then perfbench's planted-error
+# self-test.
+for w in paper_grid kv_durable crash_sweep; do
     python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 \
         --trace 1 > /dev/null
 done

@@ -14,9 +14,9 @@
  *    carriage return use their short escapes, and every other byte
  *    below 0x20 becomes \u00XX. Other bytes pass through unchanged,
  *    so any input string yields a valid document.
- *  - Numbers. Integers print exactly, doubles as %.17g (enough
- *    digits to round-trip), and rawNumber() writes a number token
- *    verbatim.
+ *  - Numbers. Integers print exactly, finite doubles as %.17g
+ *    (enough digits to round-trip) and NaN or infinity as null, and
+ *    rawNumber() writes a number token verbatim.
  *
  * JsonValue/parseJson is the reader: a recursive-descent parser into
  * an ordered value tree. Numbers keep their source spelling, because
@@ -36,6 +36,7 @@
 
 #include <cctype>
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -136,9 +137,12 @@ class JsonWriter
         return value(static_cast<std::int64_t>(v));
     }
 
+    /** NaN and infinities have no JSON spelling: they write null. */
     JsonWriter &
     value(double v)
     {
+        if (!std::isfinite(v))
+            return null();
         char buf[40];
         std::snprintf(buf, sizeof(buf), "%.17g", v);
         return rawNumber(buf);

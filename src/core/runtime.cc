@@ -59,6 +59,15 @@ Runtime::Runtime(Config config)
                            "pointer stores through storeP semantics");
 }
 
+Runtime::~Runtime()
+{
+    // An undo transaction still open rolls back as undoTxn_ dies. As
+    // in abortTxn(), detach the hook first: the rollback's own writes
+    // must not be logged.
+    if (inTxn())
+        pools_.pool(txnPool_).backing().setWriteHook(nullptr);
+}
+
 // ----------------------------------------------------------------------
 // Allocation facade
 // ----------------------------------------------------------------------
@@ -133,7 +142,7 @@ Runtime::beginTxn(PoolId pool)
 {
     if (config_.version == Version::Volatile)
         return; // no NVM, nothing to make crash-consistent
-    if (activeTxn_ || (redoBatch_ && redoBatch_->txnOpen())) {
+    if (inTxn()) {
         throw Fault(FaultKind::BadUsage,
                     "a transaction is already active");
     }
@@ -146,7 +155,7 @@ Runtime::beginTxn(PoolId pool)
     if (p.engineKind() == EngineKind::Redo) {
         // Redo path: no per-store log latency — stores are staged in
         // DRAM by the Backing itself and cost nothing extra until
-        // commit journals them. The observer only harvests elision
+        // commit journals them. The hook only harvests elision
         // hints: ranges a proof marks fresh skip the journal at
         // flush time.
         if (redoBatch_ && txnPool_ != pool) {
@@ -157,39 +166,53 @@ Runtime::beginTxn(PoolId pool)
             redoBatch_ = std::make_unique<RedoBatch>(p);
         redoBatch_->begin();
         txnPool_ = pool;
-        p.backing().setWriteObserver([this](Bytes off, Bytes n) {
-            if (txnLogHint_ == TxnLogHint::ElideFresh && redoBatch_)
-                redoBatch_->noteElided(off, n);
-        });
+        p.backing().setWriteHook(&Runtime::redoWriteHook, this);
         return;
     }
     if (redoBatch_) {
         redoBatch_->flush(); // leaving redo: make its batch durable
         redoBatch_.reset();
     }
-    activeTxn_ = std::make_unique<Txn>(p);
+    undoTxn_.begin(p);
     txnPool_ = pool;
 
     // Log at the backing layer: *every* write into the pool — data,
     // pointer, and allocator/header metadata alike — records its
-    // pre-image, so abort restores a fully consistent pool. The
-    // guard breaks the recursion on the log's own writes.
-    p.backing().setWriteObserver([this](Bytes off, Bytes n) {
-        if (txnLogging_)
-            return;
-        txnLogging_ = true;
-        if (txnLogHint_ == TxnLogHint::Log) {
-            machine_.tick(config_.machine.txnLogLatency);
-            activeTxn_->recordWrite(static_cast<PoolOffset>(off), n);
-        } else {
-            // Proven elidable: no pre-image, no fence, no log
-            // latency — the range is only remembered for the commit
-            // flush.
-            activeTxn_->recordElidedWrite(static_cast<PoolOffset>(off),
-                                          n);
-        }
-        txnLogging_ = false;
-    });
+    // pre-image, so abort restores a fully consistent pool.
+    p.backing().setWriteHook(&Runtime::undoWriteHook, this);
+}
+
+void
+Runtime::undoWriteHook(void *ctx, Bytes off, Bytes n)
+{
+    auto *rt = static_cast<Runtime *>(ctx);
+    // The guard breaks the recursion on the log's own writes. It is
+    // lowered on every exit, a throwing append (log full, simulated
+    // crash) included, or every later transaction would go unlogged.
+    if (rt->txnLogging_)
+        return;
+    rt->txnLogging_ = true;
+    struct Lower
+    {
+        bool &flag;
+        ~Lower() { flag = false; }
+    } lower{rt->txnLogging_};
+    if (rt->txnLogHint_ == TxnLogHint::Log) {
+        rt->machine_.tick(rt->config_.machine.txnLogLatency);
+        rt->undoTxn_.recordWrite(static_cast<PoolOffset>(off), n);
+    } else {
+        // Proven elidable: no pre-image, no fence, no log latency —
+        // the range is only remembered for the commit flush.
+        rt->undoTxn_.recordElidedWrite(static_cast<PoolOffset>(off), n);
+    }
+}
+
+void
+Runtime::redoWriteHook(void *ctx, Bytes off, Bytes n)
+{
+    auto *rt = static_cast<Runtime *>(ctx);
+    if (rt->txnLogHint_ == TxnLogHint::ElideFresh && rt->redoBatch_)
+        rt->redoBatch_->noteElided(off, n);
 }
 
 void
@@ -198,7 +221,7 @@ Runtime::commitTxn()
     if (config_.version == Version::Volatile)
         return;
     if (redoBatch_ && redoBatch_->txnOpen()) {
-        pools_.pool(txnPool_).backing().setWriteObserver(nullptr);
+        pools_.pool(txnPool_).backing().setWriteHook(nullptr);
         const auto t0 = std::chrono::steady_clock::now();
         redoBatch_->commit();
         if (groupCommitSize_ <= 1 ||
@@ -211,15 +234,14 @@ Runtime::commitTxn()
                 .count()));
         return;
     }
-    upr_assert_msg(activeTxn_ != nullptr, "commit without beginTxn");
-    pools_.pool(txnPool_).backing().setWriteObserver(nullptr);
+    upr_assert_msg(!undoTxn_.closed(), "commit without beginTxn");
+    pools_.pool(txnPool_).backing().setWriteHook(nullptr);
     const auto t0 = std::chrono::steady_clock::now();
-    activeTxn_->commit();
+    undoTxn_.commit();
     txnCommitNs_.record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count()));
-    activeTxn_.reset();
 }
 
 void
@@ -228,14 +250,13 @@ Runtime::abortTxn()
     if (config_.version == Version::Volatile)
         return;
     if (redoBatch_ && redoBatch_->txnOpen()) {
-        pools_.pool(txnPool_).backing().setWriteObserver(nullptr);
+        pools_.pool(txnPool_).backing().setWriteHook(nullptr);
         redoBatch_->abort();
         return;
     }
-    upr_assert_msg(activeTxn_ != nullptr, "abort without beginTxn");
-    pools_.pool(txnPool_).backing().setWriteObserver(nullptr);
-    activeTxn_->abort();
-    activeTxn_.reset();
+    upr_assert_msg(!undoTxn_.closed(), "abort without beginTxn");
+    pools_.pool(txnPool_).backing().setWriteHook(nullptr);
+    undoTxn_.abort();
 }
 
 void

@@ -173,6 +173,13 @@ class Runtime
 
     explicit Runtime(Config config);
 
+    /**
+     * A transaction left open is abandoned: undo rolls it back (with
+     * the hook detached, as abortTxn() does), redo drops its staged
+     * writes.
+     */
+    ~Runtime();
+
     Runtime(const Runtime &) = delete;
     Runtime &operator=(const Runtime &) = delete;
 
@@ -250,7 +257,7 @@ class Runtime
     bool
     inTxn() const
     {
-        return activeTxn_ != nullptr ||
+        return !undoTxn_.closed() ||
                (redoBatch_ && redoBatch_->txnOpen());
     }
 
@@ -482,6 +489,19 @@ class Runtime
     }
 
   private:
+    /**
+     * Backing write hook of an open undo transaction (ctx is the
+     * Runtime): logs each write's pre-image, or only notes the range
+     * when the store's logging hint proves it elidable.
+     */
+    static void undoWriteHook(void *ctx, Bytes off, Bytes n);
+
+    /**
+     * Backing write hook of an open redo transaction: harvests the
+     * ElideFresh hint so fresh ranges skip the journal.
+     */
+    static void redoWriteHook(void *ctx, Bytes off, Bytes n);
+
     /** SW-mode dynamic check: one predictor branch plus ALU work. */
     bool swCheck(std::uint64_t site, bool outcome);
 
@@ -662,8 +682,12 @@ class Runtime
     /** Internal pool backing libvmmalloc mode (0 = off). */
     PoolId vmPool_ = 0;
 
-    /** Active undo-log transaction, if any. */
-    std::unique_ptr<Txn> activeTxn_;
+    /**
+     * The undo-log transaction, open between beginTxn and
+     * commitTxn/abortTxn on an undo pool. One object reused for every
+     * transaction, so its buffers outlive each one.
+     */
+    Txn undoTxn_;
     /**
      * Redo group-commit driver for the pool named by txnPool_, kept
      * across transactions so a batch can span commits. Declared after

@@ -3,10 +3,10 @@
 #include <cstddef>
 #include <cstring>
 
-#include "common/crc32.hh"
 #include "common/logging.hh"
 #include "faultinject/fault_stats.hh"
 #include "mem/backing.hh"
+#include "nvm/log_format.hh"
 #include "nvm/pool.hh"
 #include "nvm/pool_allocator.hh"
 #include "obs/trace_ring.hh"
@@ -16,6 +16,11 @@ namespace upr
 
 namespace
 {
+
+// The log region's wire format is shared with both transaction
+// engines; see nvm/log_format.hh.
+using logfmt::LogControl;
+using logfmt::LogEntry;
 
 /** splitmix64 step: the sweep's only randomness, fully seed-driven. */
 std::uint64_t
@@ -82,25 +87,6 @@ headerTargets(const std::vector<std::uint8_t> &image)
     return out;
 }
 
-/** Mirror of the Txn log structures (kept private there on purpose —
- * the fault model reads raw images, not live pools). */
-struct RawLogControl
-{
-    std::uint32_t tail;
-    std::uint32_t generation;
-    std::uint32_t active;
-    std::uint32_t crc;
-};
-static_assert(sizeof(RawLogControl) == 16);
-
-struct RawLogEntry
-{
-    std::uint32_t length;
-    std::uint32_t crc;
-    std::uint64_t poolOffset;
-};
-static_assert(sizeof(RawLogEntry) == 16);
-
 /**
  * The control block plus every valid entry except the last: the last
  * entry's damage is indistinguishable from a benign torn tail, so
@@ -116,39 +102,36 @@ undoLogTargets(const std::vector<std::uint8_t> &image)
         return out;
     if (h.logStart + h.logSize < h.logStart ||
         h.logStart + h.logSize > image.size() ||
-        h.logSize < sizeof(RawLogControl))
+        h.logSize < sizeof(LogControl))
         return out;
 
-    addRange(out, h.logStart, sizeof(RawLogControl));
+    addRange(out, h.logStart, sizeof(LogControl));
 
-    RawLogControl c;
+    LogControl c;
     if (!readAt(image, h.logStart, c) || c.active == 0)
         return out;
-    const Bytes area = h.logStart + sizeof(RawLogControl);
-    const Bytes cap = h.logSize - sizeof(RawLogControl);
+    const Bytes area = h.logStart + sizeof(LogControl);
+    const Bytes cap = h.logSize - sizeof(LogControl);
     const Bytes tail = c.tail <= cap ? c.tail : cap;
 
     // Walk the valid prefix exactly the way recovery does.
     std::vector<std::pair<Bytes, Bytes>> entries; // (offset, extent)
     Bytes cursor = 0;
-    while (cursor + sizeof(RawLogEntry) <= tail) {
-        RawLogEntry e;
+    while (cursor + sizeof(LogEntry) <= tail) {
+        LogEntry e;
         if (!readAt(image, area + cursor, e))
             break;
-        if (e.length == 0 ||
-            cursor + sizeof(RawLogEntry) + e.length > tail)
+        const Bytes extent = sizeof(e) + e.length;
+        if (e.length == 0 || cursor + extent > tail)
             break;
         if (e.poolOffset > h.size || e.length > h.size - e.poolOffset)
             break;
-        std::uint32_t crc = crc32(&c.generation, sizeof(c.generation));
-        crc = crc32Update(crc, &e.poolOffset, sizeof(e.poolOffset));
-        crc = crc32Update(crc, &e.length, sizeof(e.length));
-        crc = crc32Update(crc, image.data() + area + cursor +
-                          sizeof(RawLogEntry), e.length);
-        if (crc != e.crc)
+        const std::uint8_t *payload =
+            image.data() + area + cursor + sizeof(e);
+        if (logfmt::entryCrc(e, c.generation, payload) != e.crc)
             break;
-        entries.emplace_back(cursor, sizeof(RawLogEntry) + e.length);
-        cursor += sizeof(RawLogEntry) + e.length;
+        entries.emplace_back(cursor, extent);
+        cursor += extent;
     }
     for (std::size_t i = 0; i + 1 < entries.size(); ++i)
         addRange(out, area + entries[i].first, entries[i].second);

@@ -293,10 +293,10 @@ class Backing
     /**
      * Copy: duplicates the bytes and the persistence-domain state
      * (durable image, pending lines, epoch, read-only flag) but NOT
-     * the observers or an installed write stage — a copy is a fresh
-     * view of the same media (crash images, scratch check/repair
-     * trials), never a second endpoint of the original's
-     * instrumentation.
+     * the write hook, the persistence observer or an installed write
+     * stage — a copy is a fresh view of the same media (crash images,
+     * scratch check/repair trials), never a second endpoint of the
+     * original's instrumentation.
      */
     Backing(const Backing &other)
         : bytes_(other.bytes_), domainEnabled_(other.domainEnabled_),
@@ -315,7 +315,7 @@ class Backing
         return *this;
     }
 
-    /** Moves transfer the whole identity, observers and stage included. */
+    /** Moves transfer the whole identity, hooks and stage included. */
     Backing(Backing &&) = default;
     Backing &operator=(Backing &&) = default;
 
@@ -332,13 +332,13 @@ class Backing
 
     /**
      * True while a write is a plain memcpy into the live bytes:
-     * no stage to capture it, no observers to notify, not
+     * no stage to capture it, no hook or observer to call, not
      * quarantined, and no persistence domain tracking dirty lines.
      */
     bool
     plainWrite() const
     {
-        return stage_ == nullptr && !writeObserver_ &&
+        return stage_ == nullptr && writeHook_ == nullptr &&
                !persistObserver_ && !readOnly_ && !domainEnabled_;
     }
 
@@ -384,8 +384,8 @@ class Backing
             // Staged (redo) path: the bytes land in DRAM only. No
             // persistence event fires — nothing touched the media, so
             // there is nothing a crash schedule could tear.
-            if (writeObserver_)
-                writeObserver_(off, n);
+            if (writeHook_)
+                writeHook_(writeHookCtx_, off, n);
             const auto *p = static_cast<const std::uint8_t *>(src);
             for (Bytes i = 0; i < n; ++i)
                 stage_->bytes[off + i] = p[i];
@@ -393,8 +393,8 @@ class Backing
         }
         if (persistObserver_)
             persistObserver_(PersistEvent::Write, off, n);
-        if (writeObserver_)
-            writeObserver_(off, n);
+        if (writeHook_)
+            writeHook_(writeHookCtx_, off, n);
         std::memcpy(bytes_.data() + off, src, n);
         if (domainEnabled_)
             markLines(off, n, LineState::Dirty);
@@ -440,15 +440,20 @@ class Backing
     }
 
     /**
-     * Install a pre-write observer invoked with (offset, length)
-     * before every write — the undo-log hook: it sees *all* writes,
-     * including allocator-metadata updates, so transactions roll the
-     * whole pool state back consistently. Pass nullptr to remove.
+     * Pre-write hook, called as hook(ctx, offset, length) before
+     * every write: the transaction engine's hook (undo pre-image
+     * logging, redo elision hints). It sees *all* writes, including
+     * allocator-metadata updates, so transactions roll the whole
+     * pool state back consistently.
      */
+    using WriteHook = void (*)(void *ctx, Bytes off, Bytes n);
+
+    /** Install @p hook with @p ctx; pass nullptr to remove it. */
     void
-    setWriteObserver(std::function<void(Bytes, Bytes)> observer)
+    setWriteHook(WriteHook hook, void *ctx = nullptr)
     {
-        writeObserver_ = std::move(observer);
+        writeHook_ = hook;
+        writeHookCtx_ = ctx;
     }
 
     /**
@@ -707,7 +712,8 @@ class Backing
     }
 
     ByteStore bytes_;
-    std::function<void(Bytes, Bytes)> writeObserver_;
+    WriteHook writeHook_ = nullptr;
+    void *writeHookCtx_ = nullptr;
     std::function<void(PersistEvent, Bytes, Bytes)> persistObserver_;
     /** Installed redo staging buffer (not owned), or nullptr. */
     WriteStage *stage_ = nullptr;

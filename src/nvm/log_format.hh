@@ -18,7 +18,9 @@
 #ifndef UPR_NVM_LOG_FORMAT_HH
 #define UPR_NVM_LOG_FORMAT_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/crc32.hh"
 #include "nvm/pool.hh"
@@ -65,34 +67,45 @@ struct LogControl
 };
 static_assert(sizeof(LogControl) == 16);
 
-/** The checksum a control block must carry. */
+static_assert(offsetof(LogControl, tail) == 0 &&
+              offsetof(LogControl, generation) == 4 &&
+              offsetof(LogControl, active) == 8 &&
+              offsetof(LogControl, crc) == 12);
+
+/**
+ * The checksum a control block must carry: one CRC-32 over its first
+ * 12 bytes, tail, generation and active in that order.
+ */
 inline std::uint32_t
 controlCrc(const LogControl &c)
 {
-    std::uint32_t crc = crc32(&c.tail, sizeof(c.tail));
-    crc = crc32Update(crc, &c.generation, sizeof(c.generation));
-    return crc32Update(crc, &c.active, sizeof(c.active));
+    return crc32(&c, offsetof(LogControl, crc));
 }
 
 /** On-log entry header. */
 struct LogEntry
 {
     std::uint32_t length;
-    /** crc32 over generation (seed), poolOffset, length, payload. */
+    /** crc32 over generation, poolOffset, length, payload (entryCrc). */
     std::uint32_t crc;
     std::uint64_t poolOffset;
 };
 static_assert(sizeof(LogEntry) == 16);
 
-/** The checksum an entry with this header and payload must carry. */
+/**
+ * The checksum an entry with this header and payload must carry: one
+ * CRC-32 over the 16 bytes generation‖poolOffset‖length (host byte
+ * order, no padding), continued over the payload.
+ */
 inline std::uint32_t
 entryCrc(const LogEntry &e, std::uint32_t generation,
          const std::uint8_t *payload)
 {
-    std::uint32_t crc = crc32(&generation, sizeof(generation));
-    crc = crc32Update(crc, &e.poolOffset, sizeof(e.poolOffset));
-    crc = crc32Update(crc, &e.length, sizeof(e.length));
-    return crc32Update(crc, payload, e.length);
+    std::uint8_t seed[16];
+    std::memcpy(seed, &generation, 4);
+    std::memcpy(seed + 4, &e.poolOffset, 8);
+    std::memcpy(seed + 12, &e.length, 4);
+    return crc32Update(crc32(seed, sizeof(seed)), payload, e.length);
 }
 
 /** Read the control block of @p pool's log region. */
@@ -104,16 +117,25 @@ readControl(const Pool &pool)
     return c;
 }
 
+/**
+ * Seal @p c with its checksum, write it at @p at (the log start of
+ * the pool @p b backs), and make it durable.
+ */
+inline void
+writeControl(Backing &b, Bytes at, const LogControl &c)
+{
+    LogControl sealed = c;
+    sealed.crc = controlCrc(sealed);
+    b.write(at, &sealed, sizeof(sealed));
+    b.flush(at, sizeof(sealed));
+    b.fence();
+}
+
 /** Seal @p c with its checksum, write it, and make it durable. */
 inline void
 writeControl(Pool &pool, const LogControl &c)
 {
-    LogControl sealed = c;
-    sealed.crc = controlCrc(sealed);
-    const Bytes at = pool.header().logStart;
-    pool.backing().write(at, &sealed, sizeof(sealed));
-    pool.backing().flush(at, sizeof(sealed));
-    pool.backing().fence();
+    writeControl(pool.backing(), pool.header().logStart, c);
 }
 
 /** First byte of the entry area. */

@@ -27,13 +27,25 @@ using logfmt::entriesStart;
 using logfmt::entryCrc;
 using logfmt::readControl;
 
-/** Write the control block and make it durable (undo accounting). */
+/**
+ * Write the control block at @p logStart and make it durable (undo
+ * accounting).
+ */
+void
+putControl(Backing &b, Bytes logStart, const LogControl &c,
+           TxnStats &stats)
+{
+    logfmt::writeControl(b, logStart, c);
+    stats.undoFlushes.add(1);
+    stats.undoFences.add(1);
+}
+
+/** putControl() for a pool whose log start is not cached. */
 void
 putControl(Pool &pool, const LogControl &c)
 {
-    logfmt::writeControl(pool, c);
-    TxnStats::current().undoFlushes.add(1);
-    TxnStats::current().undoFences.add(1);
+    putControl(pool.backing(), pool.header().logStart, c,
+               TxnStats::current());
 }
 
 /** This pool's log region speaks undo, or the caller is lost. */
@@ -209,13 +221,17 @@ classifyLog(const Pool &pool, const LogControl &c,
 
 } // namespace
 
-Txn::Txn(Pool &pool) : pool_(pool)
+void
+Txn::begin(Pool &pool)
 {
-    requireUndo(pool_);
-    LogControl c = readControl(pool_);
+    upr_assert_msg(closed_, "begin on an open transaction");
+    requireUndo(pool);
+    const PoolHeader h = pool.header();
+    LogControl c{};
+    pool.backing().read(h.logStart, &c, sizeof(c));
     if (c.active) {
         throw Fault(FaultKind::BadUsage,
-                    "pool '" + pool_.name() +
+                    "pool '" + pool.name() +
                     "' already has an active transaction");
     }
     c.active = 1;
@@ -224,8 +240,18 @@ Txn::Txn(Pool &pool) : pool_(pool)
     // no longer checksum under this generation, so recovery cannot
     // mistake them for ours.
     c.generation += 1;
-    putControl(pool_, c);
-    obs::traceEvent(obs::EventKind::TxnBegin, pool_.id());
+    putControl(pool.backing(), h.logStart, c, TxnStats::current());
+
+    pool_ = &pool;
+    closed_ = false;
+    poolId_ = h.poolId;
+    poolSize_ = h.size;
+    logStart_ = h.logStart;
+    logCapacity_ = h.logSize - sizeof(LogControl);
+    tail_ = 0;
+    generation_ = c.generation;
+    dirty_.clear();
+    obs::traceEvent(obs::EventKind::TxnBegin, poolId_);
 }
 
 Txn::~Txn()
@@ -238,37 +264,41 @@ void
 Txn::recordWrite(PoolOffset off, Bytes len)
 {
     upr_assert_msg(!closed_, "recordWrite on a closed transaction");
-    upr_assert_msg(len <= pool_.size() && off <= pool_.size() - len,
+    upr_assert_msg(len <= poolSize_ && off <= poolSize_ - len,
                    "logged range out of pool");
     if (len == 0)
         return;
 
-    LogControl c = readControl(pool_);
     const Bytes need = sizeof(LogEntry) + len;
-    if (c.tail + need > entriesCapacity(pool_)) {
+    if (tail_ + need > logCapacity_) {
         throw Fault(FaultKind::PoolFull,
-                    "undo log of pool '" + pool_.name() + "' full");
+                    "undo log of pool '" + pool_->name() + "' full");
     }
 
-    std::vector<std::uint8_t> pre(len);
-    pool_.backing().read(off, pre.data(), len);
+    Backing &b = pool_->backing();
+    if (preImage_.size() < len)
+        preImage_.resize(len);
+    b.read(off, preImage_.data(), len);
 
-    LogEntry e;
+    LogEntry e{};
     e.length = static_cast<std::uint32_t>(len);
     e.poolOffset = off;
-    e.crc = entryCrc(e, c.generation, pre.data());
+    e.crc = entryCrc(e, generation_, preImage_.data());
 
     // Write-ahead: the entry (and the tail bump that publishes it)
     // must be durable before the caller's data write happens, or a
     // crash could leave new data with no pre-image to undo.
-    const Bytes at = entriesStart(pool_) + c.tail;
-    pool_.backing().write(at, &e, sizeof(e));
-    pool_.backing().write(at + sizeof(e), pre.data(), len);
-    pool_.backing().flush(at, need);
-    TxnStats::current().undoFlushes.add(1);
+    const Bytes at = logStart_ + sizeof(LogControl) + tail_;
+    b.write(at, &e, sizeof(e));
+    b.write(at + sizeof(e), preImage_.data(), len);
+    b.flush(at, need);
+    TxnStats &stats = TxnStats::current();
+    stats.undoFlushes.add(1);
 
-    c.tail += static_cast<std::uint32_t>(need);
-    putControl(pool_, c); // flushes + fences control (and entry)
+    const LogControl c{tail_ + static_cast<std::uint32_t>(need),
+                       generation_, 1, 0};
+    putControl(b, logStart_, c, stats); // + fence: entry and control
+    tail_ = c.tail;
 
     dirty_.emplace_back(off, len);
 }
@@ -277,7 +307,7 @@ void
 Txn::recordElidedWrite(PoolOffset off, Bytes len)
 {
     upr_assert_msg(!closed_, "recordElidedWrite on a closed transaction");
-    upr_assert_msg(len <= pool_.size() && off <= pool_.size() - len,
+    upr_assert_msg(len <= poolSize_ && off <= poolSize_ - len,
                    "elided range out of pool");
     if (len == 0)
         return;
@@ -297,21 +327,19 @@ Txn::commit()
     upr_assert_msg(!closed_, "double commit");
     // Committed data must be durable before the log that could undo
     // it disappears.
+    Backing &b = pool_->backing();
+    TxnStats &stats = TxnStats::current();
     for (const auto &[off, len] : dirty_) {
-        pool_.backing().flush(off, len);
-        TxnStats::current().undoFlushes.add(1);
+        b.flush(off, len);
+        stats.undoFlushes.add(1);
     }
-    pool_.backing().fence();
-    TxnStats::current().undoFences.add(1);
+    b.fence();
+    stats.undoFences.add(1);
 
-    LogControl c = readControl(pool_);
-    obs::traceEvent(obs::EventKind::UndoTruncate, pool_.id(), c.tail);
-    c.active = 0;
-    c.tail = 0;
-    putControl(pool_, c);
-    TxnStats::current().undoCommits.add(1);
-    obs::traceEvent(obs::EventKind::TxnCommit, pool_.id(),
-                    dirty_.size());
+    obs::traceEvent(obs::EventKind::UndoTruncate, poolId_, tail_);
+    putControl(b, logStart_, LogControl{0, generation_, 0, 0}, stats);
+    stats.undoCommits.add(1);
+    obs::traceEvent(obs::EventKind::TxnCommit, poolId_, dirty_.size());
     closed_ = true;
     dirty_.clear();
 }
@@ -320,8 +348,8 @@ void
 Txn::abort()
 {
     upr_assert_msg(!closed_, "abort after close");
-    rollback(pool_);
-    obs::traceEvent(obs::EventKind::TxnAbort, pool_.id());
+    rollback(*pool_);
+    obs::traceEvent(obs::EventKind::TxnAbort, poolId_);
     closed_ = true;
     dirty_.clear();
 }

@@ -48,23 +48,39 @@ namespace upr
  * RAII transaction on a single pool. Writers call recordWrite() with a
  * range *before* modifying it; commit() truncates the log; destruction
  * without commit rolls the pool back (abort semantics).
+ *
+ * A closed Txn can be opened again with begin(), on any pool; it keeps
+ * its buffers, so a caller that runs one transaction after another
+ * (Runtime) allocates nothing per transaction once they have grown.
  */
 class Txn
 {
   public:
+    /** A closed transaction bound to no pool; begin() opens it. */
+    Txn() = default;
+
     /**
-     * Open a transaction on @p pool.
+     * Open a transaction on @p pool (see begin()).
      * @throws Fault{BadUsage} if one is already active on the pool
      * @throws Fault{EngineMismatch} if the pool's log region speaks a
      *         different engine (see RedoBatch for redo pools)
      */
-    explicit Txn(Pool &pool);
+    explicit Txn(Pool &pool) { begin(pool); }
 
     /** Abort (roll back) unless committed. */
     ~Txn();
 
     Txn(const Txn &) = delete;
     Txn &operator=(const Txn &) = delete;
+
+    /**
+     * Open the next transaction on @p pool. Requires closed(). On a
+     * throw the object stays closed.
+     * @throws Fault{BadUsage} if one is already active on the pool
+     * @throws Fault{EngineMismatch} if the pool's log region speaks a
+     *         different engine (see RedoBatch for redo pools)
+     */
+    void begin(Pool &pool);
 
     /**
      * Log the pre-image of [off, off+len) within the pool. Must be
@@ -91,7 +107,7 @@ class Txn
     /** Explicitly roll back now (also clears the log). */
     void abort();
 
-    /** True once commit() or abort() has run. */
+    /** True before begin() and once commit() or abort() has run. */
     bool closed() const { return closed_; }
 
     /** True if @p pool has an open (uncommitted) transaction log. */
@@ -181,14 +197,31 @@ class Txn
     /** Apply valid undo entries in reverse and clear the log. */
     static void rollback(Pool &pool);
 
-    Pool &pool_;
-    bool closed_ = false;
+    Pool *pool_ = nullptr;
+    bool closed_ = true;
+
+    /**
+     * Pool and log state cached at begin(). Exact while the
+     * transaction is open: the pool's size and log geometry never
+     * change, and only this object writes the control block between
+     * begin() and commit()/abort(). tail_ moves only once the control
+     * block carrying it has been written and made durable.
+     */
+    PoolId poolId_ = 0;
+    Bytes poolSize_ = 0;
+    Bytes logStart_ = 0;      //!< control block
+    Bytes logCapacity_ = 0;   //!< bytes of the entry area after it
+    std::uint32_t tail_ = 0;
+    std::uint32_t generation_ = 0;
+
     /**
      * Ranges logged this transaction (volatile bookkeeping): commit
      * flushes exactly these so committed data is durable before the
      * log is truncated.
      */
     std::vector<std::pair<Bytes, Bytes>> dirty_;
+    /** Pre-image scratch for recordWrite; only ever grows. */
+    std::vector<std::uint8_t> preImage_;
 };
 
 } // namespace upr

@@ -1,12 +1,15 @@
 /** @file Unit tests for the Backing persistence domain (shadowed
  * writes, flush/fence discipline, crash images, random retention),
- * the overflow-safe bounds checks, CRC-32, and the CrashInjector. */
+ * the overflow-safe bounds checks, CRC-32, the pinned undo-log wire
+ * format, and the CrashInjector. */
 
 #include <gtest/gtest.h>
 
 #include "common/crc32.hh"
 #include "crash/crash_injector.hh"
+#include "kvstore/kv_store.hh"
 #include "mem/backing.hh"
+#include "nvm/log_format.hh"
 
 using namespace upr;
 
@@ -62,6 +65,127 @@ TEST(Crc32, DetectsSingleBitFlip)
     const std::uint32_t clean = crc32(buf, sizeof(buf));
     buf[40] ^= 0x10;
     EXPECT_NE(crc32(buf, sizeof(buf)), clean);
+}
+
+TEST(Crc32, SlicingMatchesBytewiseReference)
+{
+    // The textbook one-byte-per-step loop, independent of the
+    // library's tables.
+    const auto reference = [](const std::uint8_t *p, std::size_t n) {
+        std::uint32_t crc = ~0u;
+        for (std::size_t i = 0; i < n; ++i) {
+            crc ^= p[i];
+            for (int k = 0; k < 8; ++k)
+                crc = (crc & 1) ? (0xEDB8'8320u ^ (crc >> 1)) : (crc >> 1);
+        }
+        return ~crc;
+    };
+    std::uint8_t buf[300 + 8];
+    for (std::size_t i = 0; i < sizeof(buf); ++i)
+        buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    for (std::size_t start = 0; start < 8; ++start) {
+        for (std::size_t n = 0; n <= 300; ++n) {
+            ASSERT_EQ(crc32(buf + start, n), reference(buf + start, n))
+                << "start " << start << " length " << n;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Undo-log wire format: checksums and crash images, pinned
+// ---------------------------------------------------------------------
+
+TEST(WireFormat, ControlChecksumsArePinned)
+{
+    EXPECT_EQ(logfmt::controlCrc({40, 3, 1, 0}), 0x53db'0befu);
+    EXPECT_EQ(logfmt::controlCrc({0, 0, 0, 0}), 0x7bd5'c66fu);
+    // The stored checksum field is not part of its own input.
+    EXPECT_EQ(logfmt::controlCrc({0, 0, 0, 0xFFFF'FFFFu}), 0x7bd5'c66fu);
+}
+
+TEST(WireFormat, EntryChecksumsArePinned)
+{
+    std::uint8_t small[8];
+    for (std::size_t i = 0; i < sizeof(small); ++i)
+        small[i] = static_cast<std::uint8_t>(i);
+    logfmt::LogEntry e{};
+    e.length = sizeof(small);
+    e.poolOffset = 0x1040;
+    EXPECT_EQ(logfmt::entryCrc(e, 3, small), 0x36e1'391cu);
+
+    std::uint8_t big[80];
+    for (std::size_t i = 0; i < sizeof(big); ++i)
+        big[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    e.length = sizeof(big);
+    e.poolOffset = 0;
+    EXPECT_EQ(logfmt::entryCrc(e, 0xdead'beefu, big), 0xcb84'ca36u);
+}
+
+namespace
+{
+
+using GoldenTree = RbTree<std::uint64_t, std::uint64_t>;
+
+/**
+ * Run a fixed undo-engine RB-tree workload (16 setup keys, then
+ * inserts, overwrites and erases, one transaction each) under an
+ * injector armed at @p crashAt. Returns the injector's persistence
+ * event count and, if it fired, the CRC-32 of its DiscardUnfenced
+ * image.
+ */
+std::pair<std::uint64_t, std::uint32_t>
+undoCrashImage(std::uint64_t crashAt)
+{
+    CrashInjector inj(CrashMode::DiscardUnfenced);
+    inj.arm(crashAt);
+    try {
+        Runtime::Config cfg;
+        cfg.version = Version::Hw;
+        cfg.seed = 77;
+        Runtime rt(cfg);
+        RuntimeScope scope(rt);
+        const PoolId pool = rt.createPool("golden", 1 << 20);
+        MemEnv env = MemEnv::persistentEnv(rt, pool);
+        KvStore<GoldenTree> store(env);
+        for (std::uint64_t k = 0; k < 16; ++k)
+            store.set(k, k * 10);
+        inj.attach(rt.pools().pool(pool).backing());
+        for (std::uint64_t i = 0; i < 12; ++i) {
+            rt.beginTxn(pool);
+            if (i % 4 == 3) {
+                store.index().erase(i);
+            } else {
+                store.set(100 + i, i);
+                store.set(i, i * 1000);
+            }
+            rt.commitTxn();
+        }
+    } catch (const SimulatedCrash &) {
+    }
+    const std::uint32_t crc =
+        inj.fired() ? crc32(inj.image().data(), inj.image().size()) : 0;
+    return {inj.events(), crc};
+}
+
+} // namespace
+
+TEST(WireFormat, UndoCrashImagesArePinned)
+{
+    // The event count pins the persistence-event stream (every log
+    // write, flush and fence); the image checksums pin the bytes the
+    // log leaves on media mid-append, mid-commit and between
+    // transactions.
+    EXPECT_EQ(undoCrashImage(0).first, 2717u);
+    const std::pair<std::uint64_t, std::uint32_t> golden[] = {
+        {1, 0x04c0'a01cu},    {37, 0x89d3'210eu},   {200, 0x96f7'86aeu},
+        {555, 0xb6d9'dfc6u},  {1000, 0x7a43'66fdu}, {1501, 0x70ff'd4a3u},
+        {2717, 0x2561'b7eau},
+    };
+    for (const auto &[at, crc] : golden) {
+        const auto [events, got] = undoCrashImage(at);
+        EXPECT_EQ(events, at);
+        EXPECT_EQ(got, crc) << "crash point " << at;
+    }
 }
 
 // ---------------------------------------------------------------------

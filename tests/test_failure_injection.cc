@@ -215,3 +215,31 @@ TEST(FailureInjection, FaultDuringTxnStillAbortsCleanly)
     for (std::uint64_t i = 0; i < 20; ++i)
         ASSERT_EQ(tree.find(i).value(), i);
 }
+
+TEST(FailureInjection, TxnAfterLogOverflowIsStillLogged)
+{
+    Runtime rt(makeConfig(Version::Hw));
+    RuntimeScope scope(rt);
+    const PoolId pool = rt.createPool("p", 256 * 1024);
+    MemEnv env = MemEnv::persistentEnv(rt, pool);
+    RbTree<std::uint64_t, std::uint64_t> tree(env);
+    for (std::uint64_t i = 0; i < 20; ++i)
+        tree.insert(i, i);
+
+    // The append that overflows the undo log throws out of the write
+    // hook; the next transaction must still log its pre-images.
+    rt.beginTxn(pool);
+    EXPECT_THROW(
+        {
+            for (std::uint64_t i = 20; i < 100000; ++i)
+                tree.insert(i, i);
+        },
+        Fault);
+    rt.abortTxn();
+    rt.beginTxn(pool);
+    tree.insert(500, 500);
+    rt.abortTxn();
+    EXPECT_EQ(tree.size(), 20u);
+    tree.validate();
+    EXPECT_FALSE(tree.find(500).has_value());
+}

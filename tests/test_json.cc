@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -145,6 +146,25 @@ TEST(JsonWriter, EscapesNulByte)
     json.value(std::string("a\0b", 3));
     EXPECT_EQ(json.str(), "\"a\\u0000b\"");
     EXPECT_EQ(parseJson(json.str()).asString(), std::string("a\0b", 3));
+}
+
+TEST(JsonWriter, NonFiniteDoublesWriteNull)
+{
+    JsonWriter json;
+    json.beginObject(JsonWriter::Inline);
+    json.kv("nan", std::nan(""));
+    json.kv("inf", std::numeric_limits<double>::infinity());
+    json.kv("ninf", -std::numeric_limits<double>::infinity());
+    json.kv("x", 0.25);
+    json.end();
+    EXPECT_EQ(json.str(), "{\"nan\": null, \"inf\": null, "
+                          "\"ninf\": null, \"x\": 0.25}");
+    const JsonValue doc = parseJson(json.str());
+    EXPECT_TRUE(doc.find("nan")->isNull());
+    EXPECT_TRUE(doc.find("inf")->isNull());
+    EXPECT_TRUE(doc.find("ninf")->isNull());
+    EXPECT_EQ(doc.find("x")->raw(), "0.25");
+    EXPECT_EQ(parseJson(doc.dump()).dump(), doc.dump());
 }
 
 TEST(JsonValue, DumpIsCanonicalAndByteStable)
